@@ -15,6 +15,7 @@ arguments, 3 I/O error.  Failures emit one JSON object on stderr.
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .dataflow import (
@@ -25,6 +26,7 @@ from .dataflow import (
     run_transform,
 )
 from .fragmentation import (
+    READ,
     BadConfig,
     access_schedule,
     map_layout,
@@ -90,6 +92,8 @@ def _load_run_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise BadConfig("config file must hold a JSON object")
         unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise BadConfig(f"unknown config keys: {sorted(unknown)}")
@@ -106,13 +110,17 @@ def _load_run_config(args):
         value = getattr(args, attr, None)
         if value is not None:
             merged[key] = value
-    for key in ("n", "n_part", "p"):
-        if key not in merged:
-            raise BadConfig(f"missing required parameter: {key}")
+    for key, value in merged.items():
+        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if isinstance(value, bool) or not finite:
+            raise BadConfig(f"config {key}={value!r} must be a finite number")
     return merged
 
 
 def _engine_config(merged):
+    for key in ("n", "n_part", "p"):
+        if key not in merged:
+            raise BadConfig(f"missing required parameter: {key}")
     return EngineConfig(
         n=int(merged["n"]),
         n_part=int(merged["n_part"]),
@@ -143,8 +151,8 @@ def _add_config_flags(sub):
 
 def cmd_params(args):
     merged = _load_run_config(args)
-    q = _resolve_q(merged, args.prime_floor)
     config = _engine_config(merged)  # validates geometry
+    q = _resolve_q(merged, args.prime_floor)
     out = {
         "n": config.n,
         "n_part": config.n_part,
@@ -163,26 +171,11 @@ def cmd_params(args):
 
 def cmd_transform(args):
     poly = read_polynomial(args.input)
-    merged = {"freq_mhz": 300.0, "hbm_gbps": 460.0, "seed": 1}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        unknown = set(data) - set(CONFIG_KEYS)
-        if unknown:
-            raise BadConfig(f"unknown config keys: {sorted(unknown)}")
-        merged.update(data)
-    if merged.get("n") not in (None, poly.ctx.n):
-        raise BadConfig(f"config n={merged['n']} but file holds n={poly.ctx.n}")
-    if merged.get("q") not in (None, poly.ctx.q):
-        raise BadConfig(f"config q={merged['q']} but file holds q={poly.ctx.q}")
+    merged = _load_run_config(args)
+    for key, held in (("n", poly.ctx.n), ("q", poly.ctx.q)):
+        if merged.get(key, held) != held:
+            raise BadConfig(f"config {key}={merged[key]} but file holds {key}={held}")
     merged["n"] = poly.ctx.n
-    if args.npart is not None:
-        merged["n_part"] = args.npart
-    if args.p is not None:
-        merged["p"] = args.p
-    for key in ("n_part", "p"):
-        if key not in merged:
-            raise BadConfig(f"missing required parameter: {key}")
     config = _engine_config(merged)
     result, trace = run_transform(poly, config, poly.ctx, trace=bool(args.trace))
     write_polynomial(args.output, result)
@@ -192,67 +185,27 @@ def cmd_transform(args):
 
 
 def _write_trace_jsonl(trace, path):
-    by_iter_rounds = {}
+    """One JSON line per event, per iteration: reads, lane operations, writes."""
+    groups = {}
     for rec in trace.rounds:
-        by_iter_rounds.setdefault((rec.iteration, rec.direction), []).append(rec)
-    by_iter_bus = {}
+        groups.setdefault((rec.iteration, 0 if rec.direction == READ else 2), []).append(rec)
     for rec in trace.bus:
-        by_iter_bus.setdefault(rec.iteration, []).append(rec)
-    iterations = sorted({it for it, _ in by_iter_rounds} | set(by_iter_bus))
+        groups.setdefault((rec.iteration, 1), []).append(rec)
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
-        for it in iterations:
-            for rec in by_iter_rounds.get((it, "read"), []):
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "read",
-                            "iteration": rec.iteration,
-                            "round": rec.round,
-                            "touches": [list(t) for t in rec.touches],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            for rec in by_iter_bus.get(it, []):
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "bu",
-                            "iteration": rec.iteration,
-                            "round": rec.round,
-                            "stage": rec.stage,
-                            "nttu": rec.nttu,
-                            "bu": rec.bu,
-                            "mode": rec.mode,
-                            "lanes": list(rec.lanes),
-                            "inputs": list(rec.inputs),
-                            "twiddle_index": rec.twiddle_index,
-                            "outputs": list(rec.outputs),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            for rec in by_iter_rounds.get((it, "write"), []):
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "write",
-                            "iteration": rec.iteration,
-                            "round": rec.round,
-                            "touches": [list(t) for t in rec.touches],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        for key in sorted(groups):
+            for rec in groups[key]:
+                fields = dict(vars(rec))
+                fields["kind"] = fields.pop("direction", "bu")
+                fh.write(encode(fields) + "\n")
 
 
 def cmd_verify(args):
+    if args.runs < 1:
+        raise BadConfig(f"--runs={args.runs} must be at least 1")
     merged = _load_run_config(args)
-    q = _resolve_q(merged, args.prime_floor)
     config = _engine_config(merged)
+    q = _resolve_q(merged, args.prime_floor)
     ctx = build_context(q, config.n)
     schedule = mode_schedule(config.n, config.n_part)
     assignment = arrange_twiddles(config, schedule, ctx)
@@ -352,16 +305,17 @@ _ARCH_BY_NAME = {
 
 def _parse_sweep(text):
     """'a..b' doubles from a to b inclusive; a single value stands alone."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        values = []
-        v = lo
-        while v <= hi:
-            values.append(v)
-            v *= 2
-        return values
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    lo = int(lo)
+    hi = int(hi) if sep else lo
+    if lo < 1:
+        raise BadConfig(f"sweep {text!r} must start at 1 or more")
+    values = []
+    v = lo
+    while v <= hi:
+        values.append(v)
+        v *= 2
+    return values
 
 
 def cmd_analyze(args):

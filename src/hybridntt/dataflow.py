@@ -13,8 +13,10 @@ with n > n_part runs as 2n/n_part passes of the n_part-point array:
   covered), the leading stages are configured to swap mode and forward
   their pairs untouched.
 
-Data lives in the banked buffer from the fragmentation mapping between
-halves; only the initial load and final store touch external memory.
+The passes come from fragmentation.pass_plan, which the access schedule
+and the twiddle grid read as well.  Data lives in the banked buffer from
+the fragmentation mapping between halves; only the initial load and final
+store touch external memory.
 Functional order respects data dependencies but models no clock skew;
 cycle accounting lives in perfmodel.
 
@@ -25,18 +27,20 @@ and is what the test suite enforces across the configuration sweep.
 from dataclasses import dataclass, field
 
 from .fragmentation import (
+    BUTTERFLY,
     READ,
+    SWAP,
     WRITE,
     BadConfig,
+    ModeSchedule,
     access_schedule,
     map_layout,
+    mode_schedule,
+    pass_plan,
     validate_geometry,
 )
 from .modmath import ShoupPair, add_mod, mul_mod_shoup, sub_mod
 from .reference import ContextMismatch, Polynomial
-
-BUTTERFLY = "butterfly"
-SWAP = "swap"
 
 
 @dataclass(frozen=True)
@@ -64,50 +68,11 @@ class EngineConfig:
 
     @property
     def iterations(self) -> int:
-        return 2 * self.n // self.n_part if self.n > self.n_part else 1
+        return mode_schedule(self.n, self.n_part).iterations
 
     @property
     def rounds_per_iteration(self) -> int:
         return self.n_part // (2 * self.p)
-
-
-@dataclass(frozen=True)
-class HalfModes:
-    swap_stages: int
-    butterfly_stages: int
-
-    @property
-    def notation(self) -> str:
-        return f"S×{self.swap_stages},B×{self.butterfly_stages}"
-
-
-@dataclass(frozen=True)
-class ModeSchedule:
-    """Per-half lane configuration plus the pass count."""
-
-    iterations: int
-    first_half: HalfModes
-    second_half: HalfModes
-
-
-def mode_schedule(n: int, n_part: int) -> ModeSchedule:
-    """Derive the swap/butterfly split for both iteration halves.
-
-    The first half always runs all stages in arithmetic mode.  In the
-    second half only the last s - s_part * floor((s-1)/s_part) stages do,
-    the remaining leading stages pass data through in swap mode.  A
-    single-pass transform (n == n_part) reports one iteration.
-    """
-    validate_geometry(n, n_part, 2)  # p=2 is the weakest legal parallelism
-    s = n.bit_length() - 1
-    s_part = n_part.bit_length() - 1
-    second_bf = s - s_part * ((s - 1) // s_part)
-    iterations = 2 * n // n_part if n > n_part else 1
-    return ModeSchedule(
-        iterations=iterations,
-        first_half=HalfModes(0, s_part),
-        second_half=HalfModes(s_part - second_bf, second_bf),
-    )
 
 
 @dataclass(frozen=True)
@@ -175,26 +140,6 @@ class SimTrace:
     elements_written: int = 0
 
 
-def _first_half_stream(n_part: int, m: int) -> list:
-    """Stream order of the local u coordinate for a first-half pass.
-
-    Block coordinate fastest, within-block position slower; chunks of 2p of
-    this order are exactly the conflict-free rounds of the banked buffer.
-    """
-    g_count = n_part // m
-    return [b * g_count + g for g in range(g_count) for b in range(m)]
-
-
-def _stage_round_lows(n_part: int, stride: int, p: int):
-    """Yield (round, [low indices]) with p butterflies per stage round."""
-    lows = []
-    step = 2 * stride
-    for blk in range(0, n_part, step):
-        lows.extend(range(blk, blk + stride))
-    for r in range(0, len(lows), p):
-        yield r // p, lows[r : r + p]
-
-
 class _Engine:
     """Single-owner simulator instance; one transform per run() call."""
 
@@ -204,7 +149,6 @@ class _Engine:
         self.config = config
         self.ctx = ctx
         self.layout = map_layout(config.n, config.n_part, config.p)
-        self.schedule = mode_schedule(config.n, config.n_part)
         self.trace = SimTrace(config) if trace else None
         self.banks = None
 
@@ -220,14 +164,14 @@ class _Engine:
         lay = self.layout
         return [self.banks[lay.bank_of(i)][i // lay.banks] for i in range(lay.n)]
 
-    def _record_rounds(self, iteration, stream, direction):
+    def _record_rounds(self, ps, direction):
         tr = self.trace
         lay = self.layout
         width = 2 * self.config.p
-        for c in range(0, len(stream), width):
-            chunk = stream[c : c + width]
-            touches = [(lay.bank_of(i), i // lay.banks, i) for _, i in chunk]
-            tr.rounds.append(RoundRecord(iteration, c // width, direction, touches))
+        for c in range(0, len(ps.indices), width):
+            chunk = ps.indices[c : c + width]
+            touches = [(lay.bank_of(i), i // lay.banks, i) for i in chunk]
+            tr.rounds.append(RoundRecord(ps.iteration, c // width, direction, touches))
             tr.rounds_executed += 1
             if direction == READ:
                 tr.elements_read += len(chunk)
@@ -236,15 +180,15 @@ class _Engine:
 
     # stage execution -----------------------------------------------------
 
-    def _run_stage_fast(self, local, s, wbase, shift):
+    def _run_stage_fast(self, local, st):
         """Arithmetic stage without tracing; inlined Shoup butterflies."""
         q = self.ctx.q
         wv = self.ctx.fwd_values
         ws = self.ctx.fwd_shoups
         n_part = self.config.n_part
-        stride = n_part >> (s + 1)
-        step = 2 * stride
-        for blk in range(0, n_part, step):
+        stride = n_part >> (st.stage + 1)
+        wbase, shift = st.wbase, st.shift
+        for blk in range(0, n_part, 2 * stride):
             wi = wbase + (blk >> shift)
             w = wv[wi]
             sh = ws[wi]
@@ -264,30 +208,31 @@ class _Engine:
                 local[j] = xp
                 local[j + stride] = xm
 
-    def _run_stage_traced(self, local, iteration, s, mode, wbase, shift):
+    def _run_stage_traced(self, local, iteration, st):
         """Stage execution with one record per lane operation.
 
         All butterflies of a block share one table entry, so indexing by
         the low element j gives the same twiddle as indexing by block start.
+        butterfly() takes a ShoupPair, so one is built per block.
         """
-        cfg = self.config
         q = self.ctx.q
-        tw = self.ctx.fwd_twiddles
-        stride = cfg.n_part >> (s + 1)
-        for rnd, lows in _stage_round_lows(cfg.n_part, stride, cfg.p):
+        s = st.stage
+        stride = self.config.n_part >> (s + 1)
+        w = wi = None
+        for rnd, lows in enumerate(st.rounds):
             members = sorted(lows + [j + stride for j in lows])
             lane = {j: pos for pos, j in enumerate(members)}
             for b, j in enumerate(lows):
                 x1 = local[j]
                 x2 = local[j + stride]
-                if mode == BUTTERFLY:
-                    wi = wbase + (j >> shift)
-                    y1, y2 = butterfly(x1, x2, tw[wi], BUTTERFLY, q)
+                y1, y2 = x1, x2
+                if st.mode == BUTTERFLY:
+                    k = st.wbase + (j >> st.shift)
+                    if k != wi:
+                        wi, w = k, ShoupPair(self.ctx.fwd_values[k], self.ctx.fwd_shoups[k])
+                    y1, y2 = butterfly(x1, x2, w, BUTTERFLY, q)
                     local[j] = y1
                     local[j + stride] = y2
-                else:
-                    wi = None
-                    y1, y2 = x1, x2
                 self.trace.bus.append(
                     BuRecord(
                         iteration=iteration,
@@ -295,7 +240,7 @@ class _Engine:
                         stage=s,
                         nttu=b >> 1,
                         bu=b,
-                        mode=mode,
+                        mode=st.mode,
                         lanes=(lane[j], lane[j + stride]),
                         inputs=(x1, x2),
                         twiddle_index=wi,
@@ -303,60 +248,31 @@ class _Engine:
                     )
                 )
 
-    def _run_pass(self, iteration, stream, stages):
-        """One array pass: gather, stage pipeline, scatter.
-
-        stream lists (local_position, global_index) in arrival order; the
-        stages list holds (stage, mode, wbase, shift) with wbase the table
-        index of the stage's first block and shift the block-size log.
-        """
+    def _run_pass(self, ps):
+        """One array pass: gather, stage pipeline, scatter."""
         lay = self.layout
         banks = self.banks
         nb = lay.banks
         if self.trace is not None:
-            self._record_rounds(iteration, stream, READ)
+            self._record_rounds(ps, READ)
         local = [0] * self.config.n_part
-        for pos, i in stream:
+        for pos, i in zip(ps.positions, ps.indices):
             local[pos] = banks[lay.bank_of(i)][i // nb]
-        for s, mode, wbase, shift in stages:
+        for st in ps.stages:
             if self.trace is not None:
-                self._run_stage_traced(local, iteration, s, mode, wbase, shift)
-            elif mode == BUTTERFLY:
-                self._run_stage_fast(local, s, wbase, shift)
-        for pos, i in stream:
+                self._run_stage_traced(local, ps.iteration, st)
+            elif st.mode == BUTTERFLY:
+                self._run_stage_fast(local, st)
+        for pos, i in zip(ps.positions, ps.indices):
             banks[lay.bank_of(i)][i // nb] = local[pos]
         if self.trace is not None:
-            self._record_rounds(iteration, stream, WRITE)
+            self._record_rounds(ps, WRITE)
 
     def run(self, coeffs):
         cfg = self.config
-        s_total = cfg.s
-        s_part = cfg.s_part
-        m = cfg.n // cfg.n_part
         self._load(coeffs)
-
-        all_butterfly = [(s, BUTTERFLY, 1 << s, s_part - s) for s in range(s_part)]
-
-        if m == 1:
-            self._run_pass(0, [(t, t) for t in range(cfg.n)], all_butterfly)
-            return self._store()
-
-        order = _first_half_stream(cfg.n_part, m)
-        for k in range(m):
-            self._run_pass(k, [(u, u * m + k) for u in order], all_butterfly)
-
-        swap_stages = self.schedule.second_half.swap_stages
-        for h in range(m):
-            stages = []
-            for s in range(s_part):
-                if s < swap_stages:
-                    stages.append((s, SWAP, 0, 0))
-                else:
-                    sigma = s + s_total - s_part
-                    stages.append((s, BUTTERFLY, (1 << sigma) + (h << s), s_part - s))
-            base = h * cfg.n_part
-            self._run_pass(m + h, [(t, base + t) for t in range(cfg.n_part)], stages)
-
+        for ps in pass_plan(cfg.n, cfg.n_part, cfg.p):
+            self._run_pass(ps)
         return self._store()
 
 

@@ -1,4 +1,9 @@
-"""Conflict-free banked buffer mapping and its machine checks.
+"""The engine's pass plan, its conflict-free banked buffer mapping, and
+the machine checks of that mapping.
+
+pass_plan is the one derivation of which elements each array pass moves,
+in which order, and how each array stage is configured; the engine, the
+access schedule and the twiddle grid all read it.
 
 The on-chip buffer is split into 2p banks of n/(2p) words.  Element i
 lands at
@@ -19,6 +24,8 @@ from .modmath import is_power_of_two
 
 READ = "read"
 WRITE = "write"
+BUTTERFLY = "butterfly"
+SWAP = "swap"
 
 
 class BadConfig(ValueError):
@@ -43,6 +50,114 @@ def validate_geometry(n: int, n_part: int, p: int) -> None:
             f"n={n} exceeds n_part**2={n_part * n_part}; "
             "the two-half iteration scheme covers at most 2*log2(n_part) stages"
         )
+
+
+@dataclass(frozen=True)
+class HalfModes:
+    swap_stages: int
+    butterfly_stages: int
+
+    @property
+    def notation(self) -> str:
+        return f"S×{self.swap_stages},B×{self.butterfly_stages}"
+
+
+@dataclass(frozen=True)
+class ModeSchedule:
+    """Per-half lane configuration plus the pass count."""
+
+    iterations: int
+    first_half: HalfModes
+    second_half: HalfModes
+
+
+def mode_schedule(n: int, n_part: int) -> ModeSchedule:
+    """Derive the swap/butterfly split for both iteration halves.
+
+    The first half always runs all stages in arithmetic mode.  In the
+    second half only the last s - s_part * floor((s-1)/s_part) stages do,
+    the remaining leading stages pass data through in swap mode.  A
+    single-pass transform (n == n_part) reports one iteration.
+    """
+    validate_geometry(n, n_part, 2)  # p=2 is the weakest legal parallelism
+    s = n.bit_length() - 1
+    s_part = n_part.bit_length() - 1
+    second_bf = s - s_part * ((s - 1) // s_part)
+    iterations = 2 * n // n_part if n > n_part else 1
+    return ModeSchedule(
+        iterations=iterations,
+        first_half=HalfModes(0, s_part),
+        second_half=HalfModes(s_part - second_bf, second_bf),
+    )
+
+
+@dataclass(frozen=True)
+class PlanStage:
+    """One array stage of a pass.
+
+    An arithmetic butterfly with low element j uses twiddle table entry
+    wbase + (j >> shift).  rounds lists the low elements of each p-wide
+    compute round in issue order; it is the same for every pass.
+    """
+
+    stage: int
+    mode: str
+    wbase: int
+    shift: int
+    rounds: tuple
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One array pass: indices[t] arrives t-th and sits at local positions[t]."""
+
+    iteration: int
+    positions: list
+    indices: list
+    stages: tuple
+
+
+def pass_plan(n: int, n_part: int, p: int):
+    """Yield the engine's passes in execution order, one at a time.
+
+    First-half pass k owns the stride-m coset {u*m + k} (m = n/n_part) and
+    runs every stage in arithmetic mode.  Its elements arrive with the block
+    coordinate of u fastest, so that each 2p-chunk spans either 2p distinct
+    blocks or all blocks at 2p/m distinct within-block positions, which is
+    what keeps banks disjoint.  Second-half pass h owns the contiguous block
+    [h*n_part, (h+1)*n_part) in order; its leading stages are in swap mode
+    and array stage s of the rest covers global stage s + log2(m).  A
+    single-pass transform (m == 1) is one first-half pass.
+    """
+    validate_geometry(n, n_part, p)
+    schedule = mode_schedule(n, n_part)
+    s_part = n_part.bit_length() - 1
+    log_m = n.bit_length() - n_part.bit_length()
+    m = 1 << log_m
+    rounds = []
+    for s in range(s_part):
+        stride = n_part >> (s + 1)
+        lows = [j for blk in range(0, n_part, 2 * stride) for j in range(blk, blk + stride)]
+        rounds.append(tuple(lows[r : r + p] for r in range(0, len(lows), p)))
+    first_half = tuple(
+        PlanStage(s, BUTTERFLY, 1 << s, s_part - s, rounds[s]) for s in range(s_part)
+    )
+    g_count = n_part // m  # m <= n_part is guaranteed by n <= n_part**2
+    order = [b * g_count + g for g in range(g_count) for b in range(m)]
+    local = list(range(n_part))
+    swap_stages = schedule.second_half.swap_stages
+    for it in range(schedule.iterations):
+        if it < m:
+            yield Pass(it, order, [u * m + it for u in order], first_half)
+            continue
+        h = it - m
+        stages = tuple(
+            PlanStage(s, SWAP, 0, 0, rounds[s])
+            if s < swap_stages
+            else PlanStage(s, BUTTERFLY, (1 << (s + log_m)) + (h << s), s_part - s, rounds[s])
+            for s in range(s_part)
+        )
+        yield Pass(it, local, list(range(h * n_part, (h + 1) * n_part)), stages)
 
 
 @dataclass
@@ -91,34 +206,6 @@ class AccessRound:
     touches: list  # (bank, offset, global_index) triples
 
 
-def iteration_index_groups(n: int, n_part: int, p: int):
-    """Yield (iteration, [round index lists]) for the whole transform.
-
-    First-half iteration k owns the stride-n/n_part coset {u*(n/n_part)+k};
-    its elements are enumerated with the block coordinate varying fastest so
-    that each 2p-chunk spans either 2p distinct blocks or all blocks at 2p/M
-    distinct within-block positions, which is what keeps banks disjoint.
-    Second-half iteration h owns the contiguous block [h*n_part, (h+1)*n_part)
-    and is chunked sequentially.  A single-pass transform (n == n_part)
-    degenerates to one sequentially-chunked iteration.
-    """
-    validate_geometry(n, n_part, p)
-    width = 2 * p
-    m = n // n_part
-    if m == 1:
-        yield 0, [list(range(c, c + width)) for c in range(0, n, width)]
-        return
-    g_count = n_part // m  # m <= n_part is guaranteed by n <= n_part**2
-    for k in range(m):
-        order = [(b * g_count + g) * m + k for g in range(g_count) for b in range(m)]
-        yield k, [order[c : c + width] for c in range(0, n_part, width)]
-    for h in range(m):
-        base = h * n_part
-        yield m + h, [
-            list(range(base + c, base + c + width)) for c in range(0, n_part, width)
-        ]
-
-
 def access_schedule(layout: BankLayout, config, schedule) -> list:
     """Enumerate every read and write round of every iteration.
 
@@ -127,14 +214,16 @@ def access_schedule(layout: BankLayout, config, schedule) -> list:
     """
     if (layout.n, layout.n_part, layout.p) != (config.n, config.n_part, config.p):
         raise BadConfig("layout and config geometry disagree")
+    width = 2 * layout.p
     rounds = []
     total_iterations = 0
-    for iteration, groups in iteration_index_groups(layout.n, layout.n_part, layout.p):
+    for ps in pass_plan(layout.n, layout.n_part, layout.p):
         total_iterations += 1
         for direction in (READ, WRITE):
-            for r, idxs in enumerate(groups):
-                touches = [(layout.bank_of(i), layout.offset_of(i), i) for i in idxs]
-                rounds.append(AccessRound(iteration, r, direction, touches))
+            for c in range(0, len(ps.indices), width):
+                chunk = ps.indices[c : c + width]
+                touches = [(layout.bank_of(i), layout.offset_of(i), i) for i in chunk]
+                rounds.append(AccessRound(ps.iteration, c // width, direction, touches))
     if total_iterations != schedule.iterations:
         raise BadConfig(
             f"schedule expects {schedule.iterations} iterations, enumerated {total_iterations}"

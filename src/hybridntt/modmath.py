@@ -193,7 +193,8 @@ def find_primitive_2n_root(q: int, n: int) -> int:
         raise NotNttFriendly(f"q={q} is not 1 mod {2 * n}")
     g = find_smallest_generator(q)
     psi = pow(g, (q - 1) // (2 * n), q)
-    assert pow(psi, n, q) == q - 1
+    if pow(psi, n, q) != q - 1:
+        raise NotNttFriendly(f"no primitive {2 * n}-th root of unity mod q={q}; q must be prime")
     return psi
 
 
@@ -201,21 +202,18 @@ def find_primitive_2n_root(q: int, n: int) -> int:
 class ModulusContext:
     """Immutable bundle of modulus, root, and twiddle tables.
 
-    fwd_twiddles[k] holds psi**bitrev(k) (bit-reversed power order) with its
-    Shoup companion; inv_twiddles holds the matching powers of psi**-1.
-    Flat value/shoup lists are kept alongside for hot transform loops.
-    Safe to share across threads once built.
+    fwd_values[k] holds psi**bitrev(k) (bit-reversed power order) and
+    fwd_shoups[k] its Shoup companion; inv_values/inv_shoups hold the
+    matching powers of psi**-1.  Safe to share across threads once built.
     """
 
     modulus: PrimeModulus
     psi: int
-    fwd_twiddles: list = field(repr=False)
-    inv_twiddles: list = field(repr=False)
     n_inv: ShoupPair
-    fwd_values: list = field(repr=False, default_factory=list)
-    fwd_shoups: list = field(repr=False, default_factory=list)
-    inv_values: list = field(repr=False, default_factory=list)
-    inv_shoups: list = field(repr=False, default_factory=list)
+    fwd_values: list = field(repr=False)
+    fwd_shoups: list = field(repr=False)
+    inv_values: list = field(repr=False)
+    inv_shoups: list = field(repr=False)
 
     @property
     def q(self) -> int:
@@ -239,20 +237,17 @@ def build_context(q: int, n: int) -> ModulusContext:
         fwd_pow[i] = fwd_pow[i - 1] * psi % q
         inv_pow[i] = inv_pow[i - 1] * psi_inv % q
 
-    fwd = [precompute_shoup(fwd_pow[bit_reverse(k, bits)], q) for k in range(n)]
-    inv = [precompute_shoup(inv_pow[bit_reverse(k, bits)], q) for k in range(n)]
-    n_inv = precompute_shoup(pow(n, -1, q), q)
-
+    rev = [bit_reverse(k, bits) for k in range(n)]
+    fwd = [fwd_pow[r] for r in rev]
+    inv = [inv_pow[r] for r in rev]
     return ModulusContext(
         modulus=modulus,
         psi=psi,
-        fwd_twiddles=fwd,
-        inv_twiddles=inv,
-        n_inv=n_inv,
-        fwd_values=[p.value for p in fwd],
-        fwd_shoups=[p.shoup for p in fwd],
-        inv_values=[p.value for p in inv],
-        inv_shoups=[p.shoup for p in inv],
+        n_inv=precompute_shoup(pow(n, -1, q), q),
+        fwd_values=fwd,
+        fwd_shoups=[(w << _SHOUP_SHIFT) // q for w in fwd],
+        inv_values=inv,
+        inv_shoups=[(w << _SHOUP_SHIFT) // q for w in inv],
     )
 
 
@@ -281,7 +276,6 @@ def write_twiddle_csv(ctx: ModulusContext, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "value", "shoup", "inv_value", "inv_shoup"])
-        for k in range(ctx.n):
-            f = ctx.fwd_twiddles[k]
-            i = ctx.inv_twiddles[k]
-            writer.writerow([k, f.value, f.shoup, i.value, i.shoup])
+        writer.writerows(
+            zip(range(ctx.n), ctx.fwd_values, ctx.fwd_shoups, ctx.inv_values, ctx.inv_shoups)
+        )

@@ -12,6 +12,7 @@ products are order-agnostic as long as both operands share the convention,
 so no explicit permutation pass is ever needed.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -236,17 +237,21 @@ def write_polynomial(path: str, poly: Polynomial) -> None:
 
 def read_polynomial(path: str, ctx: ModulusContext | None = None) -> Polynomial:
     """Read an HPLY file; builds a context from the stored (n, q) if none given."""
+    header_size = struct.calcsize("<4sIQQ")
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIQQ"))
-        magic, version, n, q = struct.unpack("<4sIQQ", header)
+        body_size = os.fstat(fh.fileno()).st_size - header_size
+        if body_size < 0:
+            raise ValueError(f"truncated HPLY header: expected {header_size} bytes")
+        magic, version, n, q = struct.unpack("<4sIQQ", fh.read(header_size))
         if magic != HPLY_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {HPLY_MAGIC!r}")
         if version != HPLY_VERSION:
             raise ValueError(f"unsupported HPLY version {version}")
-        body = fh.read(8 * n)
-        if len(body) != 8 * n:
+        if body_size < 8 * n:
             raise ValueError(f"truncated HPLY body: expected {8 * n} bytes")
-        coeffs = list(struct.unpack(f"<{n}Q", body))
+        if body_size > 8 * n:
+            raise ValueError(f"{body_size - 8 * n} trailing bytes after the HPLY body")
+        coeffs = list(struct.unpack(f"<{n}Q", fh.read(8 * n)))
     if ctx is None:
         ctx = build_context(q, n)
     elif ctx.n != n or ctx.q != q:

@@ -9,14 +9,14 @@ the price is replication, which replication_report quantifies.
 The table indices refer to the bit-reversed forward table of the full
 n-point context.  A single n_part-point array pass touches exactly
 n_part - 1 distinct entries (indices 1..n_part-1): the same working set in
-every first-half pass.  Second-half passes walk the remaining entries,
-pass h of stage s touching indices 2**sigma + h*2**s + j.
+every first-half pass.  Second-half passes walk the remaining entries.
+The indices are read off fragmentation.pass_plan, the plan the engine runs.
 """
 
 from dataclasses import dataclass
 
-from .dataflow import EngineConfig, ModeSchedule, _stage_round_lows
-from .fragmentation import BadConfig
+from .dataflow import EngineConfig, ModeSchedule
+from .fragmentation import BUTTERFLY, BadConfig, pass_plan
 from .modmath import ModulusContext
 
 
@@ -49,47 +49,17 @@ def arrange_twiddles(
     if schedule.iterations != config.iterations:
         raise BadConfig("schedule does not match config")
 
-    n_part = config.n_part
-    p = config.p
-    s_part = config.s_part
-    s_total = config.s
-    m = config.n // n_part
-    units = p // 2
+    units = config.p // 2
     grid: dict = {}
-
-    def fill_pass(iteration: int, stage_bases: list):
-        """stage_bases[s] is (wbase, shift) for arithmetic or None for swap."""
-        for s, base in enumerate(stage_bases):
-            if base is None:
-                for u in range(units):
-                    grid[(iteration, s, u)] = []
-                continue
-            wbase, shift = base
+    for ps in pass_plan(config.n, config.n_part, config.p):
+        for st in ps.stages:
             lists = [[] for _ in range(units)]
-            stride = n_part >> (s + 1)
-            for _, lows in _stage_round_lows(n_part, stride, p):
-                for b, j in enumerate(lows):
-                    lists[b >> 1].append(wbase + (j >> shift))
-            for u in range(units):
-                grid[(iteration, s, u)] = lists[u]
-
-    first_half_bases = [((1 << s), s_part - s) for s in range(s_part)]
-    if m == 1:
-        fill_pass(0, first_half_bases)
-        return TwiddleAssignment(config, grid)
-
-    for k in range(m):
-        fill_pass(k, first_half_bases)
-    swap_stages = schedule.second_half.swap_stages
-    for h in range(m):
-        bases = []
-        for s in range(s_part):
-            if s < swap_stages:
-                bases.append(None)
-            else:
-                sigma = s + s_total - s_part
-                bases.append(((1 << sigma) + (h << s), s_part - s))
-        fill_pass(m + h, bases)
+            if st.mode == BUTTERFLY:
+                for lows in st.rounds:
+                    for b, j in enumerate(lows):
+                        lists[b >> 1].append(st.wbase + (j >> st.shift))
+            for u, idxs in enumerate(lists):
+                grid[(ps.iteration, st.stage, u)] = idxs
     return TwiddleAssignment(config, grid)
 
 

@@ -235,3 +235,57 @@ def test_unknown_config_key(tmp_path, capsys):
     assert run(["params", "--config", str(cfg)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "bogus" in err["message"]
+
+
+BAD_CONFIG_TEXTS = [
+    "5",
+    '{"n": null, "n_part": 8, "p": 2}',
+    '{"n": [16], "n_part": 8, "p": 2}',
+    '{"n": Infinity, "n_part": 8, "p": 2}',
+    '{"n": 16, "n_part": [8], "p": 2}',
+    '{"n": 16, "n_part": true, "p": 2}',
+    '{"n": 16, "n_part": 8, "p": 2, "hbm_gbps": Infinity}',
+    '{"n": 16, "n_part": 8, "p": 2, "freq_mhz": NaN}',
+]
+
+
+BAD_SWEEPS = ["0..8", "-4..8", "-1..-1", "0", "-2"]
+
+
+def _config_argv(command, text):
+    def argv(tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        if command == "params":
+            return ["params", "--config", str(cfg)]
+        src = tmp_path / "in.hply"
+        write_polynomial(str(src), random_polynomial(build_context(97, 16), 1))
+        return ["transform", str(src), str(tmp_path / "out.hply"), "--config", str(cfg)]
+
+    return argv
+
+
+def _fixed_argv(*args):
+    return lambda tmp_path: list(args)
+
+
+REJECTED = {
+    **{f"{command}-config-{i}": _config_argv(command, text)
+       for command in ("params", "transform") for i, text in enumerate(BAD_CONFIG_TEXTS)},
+    **{f"verify-runs{runs}": _fixed_argv("verify", "--n", "16", "--npart", "8", "--p", "2",
+                                         "--q", "97", "--runs", runs)
+       for runs in ("0", "-3")},
+    **{f"analyze{flag}={sweep}": _fixed_argv("analyze", f"{flag}={sweep}")
+       for flag in ("--sweep-n", "--sweep-p") for sweep in BAD_SWEEPS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_input_exits_2_with_one_json_error(name, tmp_path, capsys):
+    code = run(REJECTED[name](tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BadConfig"

@@ -123,10 +123,10 @@ def test_prime_modulus_invariants():
 def test_build_context_small():
     ctx = build_context(17, 4)
     assert ctx.psi == 9
-    assert [p.value for p in ctx.fwd_twiddles] == [1, 13, 9, 15]
-    assert [p.value for p in ctx.inv_twiddles] == [1, 4, 2, 8]
-    assert ctx.fwd_twiddles[0].value == 1
-    assert ctx.inv_twiddles[0].value == 1
+    assert ctx.fwd_values == [1, 13, 9, 15]
+    assert ctx.inv_values == [1, 4, 2, 8]
+    assert ctx.fwd_shoups == [(w << 64) // 17 for w in ctx.fwd_values]
+    assert ctx.inv_shoups == [(w << 64) // 17 for w in ctx.inv_values]
     assert ctx.n_inv.value * 4 % 17 == 1
 
 
@@ -135,8 +135,8 @@ def test_table_symmetry(n, q):
     # re-indexed to natural power order, fwd and inv entries are inverses
     ctx = build_context(q, n)
     bits = n.bit_length() - 1
-    fwd_nat = [ctx.fwd_twiddles[bit_reverse(j, bits)].value for j in range(n)]
-    inv_nat = [ctx.inv_twiddles[bit_reverse(j, bits)].value for j in range(n)]
+    fwd_nat = [ctx.fwd_values[bit_reverse(j, bits)] for j in range(n)]
+    inv_nat = [ctx.inv_values[bit_reverse(j, bits)] for j in range(n)]
     for j in range(n):
         assert fwd_nat[j] * inv_nat[j] % q == 1
 
@@ -148,7 +148,7 @@ def test_build_context_word_size_prime(ctx_cache):
     assert sympy.isprime(q)
     ctx = ctx_cache.get(256, q=q)
     assert isinstance(ctx, ModulusContext)
-    assert len(ctx.fwd_twiddles) == 256
+    assert len(ctx.fwd_values) == 256
 
 
 def test_find_ntt_prime_examples():

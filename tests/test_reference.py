@@ -1,6 +1,8 @@
+import struct
+
 import pytest
 
-from hybridntt.modmath import build_context, find_ntt_prime
+from hybridntt.modmath import NotNttFriendly, build_context, find_ntt_prime, find_primitive_2n_root
 from hybridntt.reference import (
     ContextMismatch,
     Polynomial,
@@ -187,3 +189,39 @@ def test_hply_errors(tmp_path, ctx_cache):
     other = build_context(193, 16)  # same n, different modulus
     with pytest.raises(ContextMismatch):
         read_polynomial(str(path), other)
+
+
+def _hply_bytes(tmp_path, ctx_cache):
+    path = tmp_path / "a.hply"
+    write_polynomial(str(path), random_polynomial(ctx_cache.get(16), 9))
+    return path.read_bytes()
+
+
+def test_hply_short_header_is_value_error(tmp_path, ctx_cache):
+    raw = _hply_bytes(tmp_path, ctx_cache)
+    short = tmp_path / "short-header.hply"
+    short.write_bytes(raw[:23])
+    with pytest.raises(ValueError, match="header"):
+        read_polynomial(str(short))
+
+
+def test_hply_huge_declared_n_rejected_before_reading(tmp_path, ctx_cache):
+    raw = _hply_bytes(tmp_path, ctx_cache)
+    huge = tmp_path / "huge.hply"
+    huge.write_bytes(raw[:8] + struct.pack("<Q", 1 << 40) + raw[16:])
+    with pytest.raises(ValueError, match="truncated HPLY body"):
+        read_polynomial(str(huge))
+
+
+def test_hply_trailing_bytes_rejected(tmp_path, ctx_cache):
+    raw = _hply_bytes(tmp_path, ctx_cache)
+    trailing = tmp_path / "trailing.hply"
+    trailing.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        read_polynomial(str(trailing))
+
+
+def test_primitive_root_check_is_an_exception():
+    # 9 = 1 mod 8 but is not prime: g**((q-1)/2n) is no primitive 8th root
+    with pytest.raises(NotNttFriendly):
+        find_primitive_2n_root(9, 4)
