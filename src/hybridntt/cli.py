@@ -84,6 +84,7 @@ def _dump_json(obj, path=None):
 
 
 CONFIG_KEYS = ("n", "n_part", "p", "q", "freq_mhz", "hbm_gbps", "seed")
+INTEGER_KEYS = ("n", "n_part", "p", "q", "seed")
 
 
 def _load_run_config(args):
@@ -114,6 +115,8 @@ def _load_run_config(args):
         finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
         if isinstance(value, bool) or not finite:
             raise BadConfig(f"config {key}={value!r} must be a finite number")
+        if key in INTEGER_KEYS and value != int(value):
+            raise BadConfig(f"config {key}={value!r} must be an integer")
     return merged
 
 

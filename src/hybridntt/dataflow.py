@@ -20,11 +20,25 @@ store touch external memory.
 Functional order respects data dependencies but models no clock skew;
 cycle accounting lives in perfmodel.
 
+The passes of one half touch disjoint elements, so the simulator runs them
+side by side, as the hardware pipelines them.  Each half is gathered from
+the banks through the XOR mapping into one (passes, n_part) uint64 array
+and scattered back after its stages.  Untraced, every arithmetic stage is
+one modmath.shoup_butterfly over that whole array.  Traced, the stages
+stay scalar, one butterfly() per lane, because every lane operation yields
+a record.  The golden model reference.forward_values stays scalar too: it
+is faster than array code at the small n where it dominates, and it keeps
+the equivalence check independent of the engine's kernel.
+
 Bit-exactness against reference.forward_values is the binding contract
 and is what the test suite enforces across the configuration sweep.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
+
+import numpy as np
 
 from .fragmentation import (
     BUTTERFLY,
@@ -39,7 +53,7 @@ from .fragmentation import (
     pass_plan,
     validate_geometry,
 )
-from .modmath import ShoupPair, add_mod, mul_mod_shoup, sub_mod
+from .modmath import ShoupPair, add_mod, mul_mod_shoup, shoup_butterfly, sub_mod
 from .reference import ContextMismatch, Polynomial
 
 
@@ -150,19 +164,6 @@ class _Engine:
         self.ctx = ctx
         self.layout = map_layout(config.n, config.n_part, config.p)
         self.trace = SimTrace(config) if trace else None
-        self.banks = None
-
-    # banked buffer plumbing --------------------------------------------
-
-    def _load(self, coeffs):
-        lay = self.layout
-        self.banks = [[0] * lay.depth for _ in range(lay.banks)]
-        for i, v in enumerate(coeffs):  # sequential burst from external memory
-            self.banks[lay.bank_of(i)][i // lay.banks] = v
-
-    def _store(self):
-        lay = self.layout
-        return [self.banks[lay.bank_of(i)][i // lay.banks] for i in range(lay.n)]
 
     def _record_rounds(self, ps, direction):
         tr = self.trace
@@ -180,33 +181,25 @@ class _Engine:
 
     # stage execution -----------------------------------------------------
 
-    def _run_stage_fast(self, local, st):
-        """Arithmetic stage without tracing; inlined Shoup butterflies."""
-        q = self.ctx.q
-        wv = self.ctx.fwd_values
-        ws = self.ctx.fwd_shoups
-        n_part = self.config.n_part
-        stride = n_part >> (st.stage + 1)
-        wbase, shift = st.wbase, st.shift
-        for blk in range(0, n_part, 2 * stride):
-            wi = wbase + (blk >> shift)
-            w = wv[wi]
-            sh = ws[wi]
-            for j in range(blk, blk + stride):
-                x = local[j]
-                y = local[j + stride]
-                hi = (y * sh) >> 64
-                v = y * w - hi * q
-                if v >= q:
-                    v -= q
-                xp = x + v
-                if xp >= q:
-                    xp -= q
-                xm = x - v
-                if xm < 0:
-                    xm += q
-                local[j] = xp
-                local[j + stride] = xm
+    def _run_stages(self, local, stages, wbase):
+        """Every arithmetic stage over all passes of a half at once.
+
+        local[k] is pass k's n_part elements.  A stage with stride t splits
+        each row into blocks of 2t; a block's t butterflies pair its two
+        halves and share one twiddle, entry wbase[k, stage] + (low >> shift).
+        """
+        ctx = self.ctx
+        count, n_part = local.shape
+        scratch = np.empty((5, count * n_part // 2), np.uint64)
+        for st in stages:
+            if st.mode != BUTTERFLY:
+                continue  # swap mode forwards its pairs untouched
+            span = n_part >> st.stage
+            blocks = local.reshape(count, n_part // span, 2, span // 2)
+            wi = wbase[:, st.stage, None] + (np.arange(0, n_part, span) >> st.shift)
+            x, y = blocks[:, :, 0], blocks[:, :, 1]
+            w, ws = ctx.fwd_values[wi, None], ctx.fwd_shoups[wi, None]
+            shoup_butterfly(x, y, w, ws, ctx.q, scratch.reshape((5,) + y.shape))
 
     def _run_stage_traced(self, local, iteration, st):
         """Stage execution with one record per lane operation.
@@ -229,7 +222,8 @@ class _Engine:
                 if st.mode == BUTTERFLY:
                     k = st.wbase + (j >> st.shift)
                     if k != wi:
-                        wi, w = k, ShoupPair(self.ctx.fwd_values[k], self.ctx.fwd_shoups[k])
+                        wi = k
+                        w = ShoupPair(int(self.ctx.fwd_values[k]), int(self.ctx.fwd_shoups[k]))
                     y1, y2 = butterfly(x1, x2, w, BUTTERFLY, q)
                     local[j] = y1
                     local[j + stride] = y2
@@ -248,32 +242,52 @@ class _Engine:
                     )
                 )
 
-    def _run_pass(self, ps):
-        """One array pass: gather, stage pipeline, scatter."""
+    def _run_half(self, banks, passes, count):
+        """Gather, stage pipeline and scatter of `count` independent passes.
+
+        The passes of one iteration half touch disjoint elements, so they run
+        side by side as one (count, n_part) array: row k holds pass k's
+        elements at their local positions, gathered from and scattered back
+        to the banks through the XOR mapping.  The passes share stage modes
+        and shifts and differ only in wbase.  A traced run executes each
+        pass's stages with scalar arithmetic, one record per lane.
+        """
+        cfg = self.config
         lay = self.layout
-        banks = self.banks
-        nb = lay.banks
-        if self.trace is not None:
-            self._record_rounds(ps, READ)
-        local = [0] * self.config.n_part
-        for pos, i in zip(ps.positions, ps.indices):
-            local[pos] = banks[lay.bank_of(i)][i // nb]
-        for st in ps.stages:
+        index = np.empty((count, cfg.n_part), np.int64)
+        wbase = np.empty((count, cfg.s_part), np.int64)
+        traced = []
+        for k, ps in enumerate(passes):
+            index[k, ps.positions] = ps.indices
+            wbase[k] = [st.wbase for st in ps.stages]
             if self.trace is not None:
-                self._run_stage_traced(local, ps.iteration, st)
-            elif st.mode == BUTTERFLY:
-                self._run_stage_fast(local, st)
-        for pos, i in zip(ps.positions, ps.indices):
-            banks[lay.bank_of(i)][i // nb] = local[pos]
-        if self.trace is not None:
-            self._record_rounds(ps, WRITE)
+                traced.append(ps)
+        where = lay.bank_of(index), lay.offset_of(index)
+        local = banks[where]
+        if self.trace is None:
+            self._run_stages(local, ps.stages, wbase)
+        else:
+            rows = local.tolist()
+            for row, ps in zip(rows, traced):
+                self._record_rounds(ps, READ)
+                for st in ps.stages:
+                    self._run_stage_traced(row, ps.iteration, st)
+                self._record_rounds(ps, WRITE)
+            local = np.array(rows, np.uint64)
+        banks[where] = local
 
     def run(self, coeffs):
         cfg = self.config
-        self._load(coeffs)
-        for ps in pass_plan(cfg.n, cfg.n_part, cfg.p):
-            self._run_pass(ps)
-        return self._store()
+        arrangement = self.layout.arrangement
+        banks = np.array(coeffs, np.uint64)[arrangement]  # sequential burst into the banks
+        plan = pass_plan(cfg.n, cfg.n_part, cfg.p)
+        first_half = cfg.n // cfg.n_part
+        for count in (first_half, cfg.iterations - first_half):
+            if count:
+                self._run_half(banks, islice(plan, count), count)
+        out = np.empty(cfg.n, np.uint64)
+        out[arrangement] = banks
+        return out.tolist()
 
 
 def run_transform(poly: Polynomial, config: EngineConfig, ctx, trace: bool = False):
@@ -319,6 +333,19 @@ class AuditReport:
             "bank_pattern_mismatches": self.bank_pattern_mismatches,
             "ok": self.ok,
         }
+
+
+@lru_cache(maxsize=4)
+def _schedule_touches(n: int, n_part: int, p: int) -> tuple:
+    """The access schedule as ({(iteration, round, direction): row}, touches[row]).
+
+    It depends on the geometry alone, so repeated audits share one copy,
+    kept as one int64 array of (bank, offset, index) triples.
+    """
+    config = EngineConfig(n, n_part, p)
+    rounds = access_schedule(map_layout(n, n_part, p), config, mode_schedule(n, n_part))
+    rows = {(r.iteration, r.round, r.direction): k for k, r in enumerate(rounds)}
+    return rows, np.array([r.touches for r in rounds], np.int64)
 
 
 def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, assignment) -> AuditReport:
@@ -368,16 +395,11 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
     for slot, got in consumed.items():
         twiddle_mismatches.append({"slot": slot, "assigned": None, "consumed": got})
 
-    layout = map_layout(config.n, config.n_part, config.p)
-    expected = {
-        (r.iteration, r.round, r.direction): frozenset(r.touches)
-        for r in access_schedule(layout, config, schedule)
-    }
+    rows, touches = _schedule_touches(config.n, config.n_part, config.p)
     bank_mismatches = []
     for rec in trace.rounds:
-        key = (rec.iteration, rec.round, rec.direction)
-        want = expected.get(key)
-        if want is None or frozenset(rec.touches) != want:
+        row = rows.get((rec.iteration, rec.round, rec.direction))
+        if row is None or frozenset(rec.touches) != frozenset(map(tuple, touches[row].tolist())):
             bank_mismatches.append(
                 {"iteration": rec.iteration, "round": rec.round, "direction": rec.direction}
             )

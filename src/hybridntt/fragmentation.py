@@ -20,6 +20,8 @@ properties by brute force rather than trusting the derivation.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .modmath import is_power_of_two
 
 READ = "read"
@@ -162,19 +164,22 @@ def pass_plan(n: int, n_part: int, p: int):
 
 @dataclass
 class BankLayout:
-    """The 2p x n/(2p) element arrangement produced by the XOR mapping."""
+    """The 2p x n/(2p) element arrangement produced by the XOR mapping.
+
+    bank_of and offset_of take an int or an integer ndarray of indices.
+    """
 
     n: int
     n_part: int
     p: int
     banks: int
     depth: int
-    arrangement: list = field(repr=False)  # arrangement[bank][offset] -> global index
+    arrangement: np.ndarray = field(repr=False)  # arrangement[bank, offset] -> global index
 
-    def bank_of(self, i: int) -> int:
+    def bank_of(self, i):
         return (i ^ (i // self.n_part)) % self.banks
 
-    def offset_of(self, i: int) -> int:
+    def offset_of(self, i):
         return i // self.banks
 
     def place(self, i: int) -> tuple:
@@ -186,14 +191,14 @@ def map_layout(n: int, n_part: int, p: int) -> BankLayout:
     validate_geometry(n, n_part, p)
     banks = 2 * p
     depth = n // banks
-    arrangement = [[None] * depth for _ in range(banks)]
-    for i in range(n):
-        b = (i ^ (i // n_part)) % banks
-        off = i // banks
-        if arrangement[b][off] is not None:
-            raise BadConfig(f"collision at bank {b} offset {off}")
-        arrangement[b][off] = i
-    return BankLayout(n=n, n_part=n_part, p=p, banks=banks, depth=depth, arrangement=arrangement)
+    layout = BankLayout(n, n_part, p, banks, depth, np.full((banks, depth), -1, np.int64))
+    i = np.arange(n)
+    layout.arrangement[layout.bank_of(i), layout.offset_of(i)] = i
+    empty = np.argwhere(layout.arrangement < 0)
+    if len(empty):  # n slots for n elements: a hole means two elements collided
+        b, off = empty[0].tolist()
+        raise BadConfig(f"collision: bank {b} offset {off} left empty")
+    return layout
 
 
 @dataclass

@@ -6,12 +6,22 @@ w < q, precompute w' = floor(w * 2**64 / q); then (x * w) mod q costs one
 high multiply, one low multiply-subtract and at most one conditional
 subtraction.  The single-correction form is valid for q < 2**62, which is
 the modulus ceiling enforced throughout this package.
+
+mul_mod_shoup is the scalar form.  mulhi and shoup_butterfly are the same
+arithmetic over numpy uint64 arrays, written once for the engine; every
+step wraps modulo 2**64, which is exact because each true intermediate
+fits.  Scalar callers must take int() or .tolist() of array entries first:
+a np.uint64 times a Python int wraps silently as well.
 """
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MAX_MODULUS_BITS = 62
 _SHOUP_SHIFT = 64
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
 
 # deterministic Miller-Rabin witness set for all n < 3.3e24 (covers 2**62)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -172,6 +182,61 @@ def mul_mod_shoup(x: int, w: ShoupPair, q: int) -> int:
     return r - q if r >= q else r
 
 
+def mulhi(a, b, scratch=None):
+    """floor(a * b / 2**64) elementwise over uint64 arrays; b broadcasts against a.
+
+    numpy has no 64x64 -> 128-bit product, so the high word is assembled
+    from the four 32-bit limb products.  scratch, a uint64 array of shape
+    (5,) + a.shape, avoids temporaries; the result is written to scratch[1].
+    """
+    if scratch is None:
+        scratch = np.empty((5,) + a.shape, np.uint64)
+    a_lo, hi, ll, hl, tmp = scratch
+    b_lo = b & _LO32
+    b_hi = b >> _U32
+    np.bitwise_and(a, _LO32, out=a_lo)
+    np.right_shift(a, _U32, out=hi)
+    np.multiply(a_lo, b_lo, out=ll)
+    ll >>= _U32  # only its carry into the middle word matters
+    np.multiply(hi, b_lo, out=hl)  # a_hi * b_lo
+    hi *= b_hi  # a_hi * b_hi
+    a_lo *= b_hi  # a_lo * b_hi
+    for cross in (a_lo, hl):  # the middle word stays below 3 * 2**32
+        np.bitwise_and(cross, _LO32, out=tmp)
+        ll += tmp
+        cross >>= _U32
+        hi += cross
+    ll >>= _U32
+    hi += ll
+    return hi
+
+
+def shoup_butterfly(x, y, w, w_shoup, q: int, scratch=None) -> None:
+    """In place (x, y) <- (x + w*y, x - w*y) mod q over uint64 arrays.
+
+    The array form of mul_mod_shoup followed by add_mod/sub_mod: w and its
+    Shoup companion w_shoup broadcast against y.  Each conditional
+    subtraction is an unsigned minimum, min(r, r - q), since r - q wraps
+    past r exactly when r < q.  scratch is as for mulhi.
+    """
+    if scratch is None:
+        scratch = np.empty((5,) + y.shape, np.uint64)
+    q = np.uint64(q)
+    hi = mulhi(y, w_shoup, scratch)
+    v, tmp = scratch[0], scratch[2]
+    np.multiply(y, w, out=v)
+    hi *= q
+    v -= hi  # y*w - hi*q, in [0, 2q)
+    np.subtract(v, q, out=tmp)
+    np.minimum(v, tmp, out=v)
+    np.subtract(x, v, out=y)
+    np.add(y, q, out=tmp)
+    np.minimum(y, tmp, out=y)
+    x += v
+    np.subtract(x, q, out=tmp)
+    np.minimum(x, tmp, out=x)
+
+
 def find_smallest_generator(q: int) -> int:
     """Smallest generator of the multiplicative group of Z_q (q prime)."""
     order = q - 1
@@ -198,22 +263,23 @@ def find_primitive_2n_root(q: int, n: int) -> int:
     return psi
 
 
-@dataclass
+@dataclass(eq=False)
 class ModulusContext:
     """Immutable bundle of modulus, root, and twiddle tables.
 
     fwd_values[k] holds psi**bitrev(k) (bit-reversed power order) and
     fwd_shoups[k] its Shoup companion; inv_values/inv_shoups hold the
-    matching powers of psi**-1.  Safe to share across threads once built.
+    matching powers of psi**-1.  The four tables are uint64 arrays.  Safe
+    to share across threads once built.
     """
 
     modulus: PrimeModulus
     psi: int
     n_inv: ShoupPair
-    fwd_values: list = field(repr=False)
-    fwd_shoups: list = field(repr=False)
-    inv_values: list = field(repr=False)
-    inv_shoups: list = field(repr=False)
+    fwd_values: np.ndarray = field(repr=False)
+    fwd_shoups: np.ndarray = field(repr=False)
+    inv_values: np.ndarray = field(repr=False)
+    inv_shoups: np.ndarray = field(repr=False)
 
     @property
     def q(self) -> int:
@@ -230,24 +296,31 @@ def build_context(q: int, n: int) -> ModulusContext:
     psi = find_primitive_2n_root(q, n)
     psi_inv = pow(psi, -1, q)
 
-    bits = n.bit_length() - 1
     fwd_pow = [1] * n
     inv_pow = [1] * n
     for i in range(1, n):
         fwd_pow[i] = fwd_pow[i - 1] * psi % q
         inv_pow[i] = inv_pow[i - 1] * psi_inv % q
 
-    rev = [bit_reverse(k, bits) for k in range(n)]
-    fwd = [fwd_pow[r] for r in rev]
-    inv = [inv_pow[r] for r in rev]
+    bits = n.bit_length() - 1
+    k = np.arange(n)
+    rev = np.zeros(n, np.int64)
+    for b in range(bits):
+        rev |= ((k >> b) & 1) << (bits - 1 - b)
+
+    def table(values):
+        out = np.array(values, np.uint64)[rev]
+        out.flags.writeable = False  # shared by every transform over this context
+        return out
+
     return ModulusContext(
         modulus=modulus,
         psi=psi,
         n_inv=precompute_shoup(pow(n, -1, q), q),
-        fwd_values=fwd,
-        fwd_shoups=[(w << _SHOUP_SHIFT) // q for w in fwd],
-        inv_values=inv,
-        inv_shoups=[(w << _SHOUP_SHIFT) // q for w in inv],
+        fwd_values=table(fwd_pow),
+        fwd_shoups=table([(w << _SHOUP_SHIFT) // q for w in fwd_pow]),
+        inv_values=table(inv_pow),
+        inv_shoups=table([(w << _SHOUP_SHIFT) // q for w in inv_pow]),
     )
 
 
@@ -276,6 +349,5 @@ def write_twiddle_csv(ctx: ModulusContext, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "value", "shoup", "inv_value", "inv_shoup"])
-        writer.writerows(
-            zip(range(ctx.n), ctx.fwd_values, ctx.fwd_shoups, ctx.inv_values, ctx.inv_shoups)
-        )
+        tables = (ctx.fwd_values, ctx.fwd_shoups, ctx.inv_values, ctx.inv_shoups)
+        writer.writerows(zip(range(ctx.n), *(t.tolist() for t in tables)))

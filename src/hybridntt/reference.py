@@ -106,12 +106,14 @@ def forward_values(values: list, ctx: ModulusContext) -> list:
 
     log n stages of (x1 + w*x2, x1 - w*x2) butterflies with the
     bit-reversed twiddle table; output lands in bit-reversed order.
+    Scalar on purpose: it is the engine's independent oracle, and at small
+    n per-call array overhead would outweigh the loop.
     """
     a = list(values)
     n = ctx.n
     q = ctx.q
-    wv = ctx.fwd_values
-    ws = ctx.fwd_shoups
+    wv = ctx.fwd_values.tolist()
+    ws = ctx.fwd_shoups.tolist()
     t = n
     m = 1
     while m < n:
@@ -144,8 +146,8 @@ def inverse_values(values: list, ctx: ModulusContext) -> list:
     a = list(values)
     n = ctx.n
     q = ctx.q
-    wv = ctx.inv_values
-    ws = ctx.inv_shoups
+    wv = ctx.inv_values.tolist()
+    ws = ctx.inv_shoups.tolist()
     t = 1
     m = n
     while m > 1:

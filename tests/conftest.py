@@ -1,4 +1,7 @@
+from functools import lru_cache
+
 import pytest
+import sympy
 
 from hybridntt.modmath import build_context, find_ntt_prime
 
@@ -13,6 +16,15 @@ def sweep_configs():
                 if 2 * p <= n_part <= n <= n_part * n_part:
                     out.append((n, n_part, p))
     return out
+
+
+@lru_cache(maxsize=None)
+def largest_ntt_prime(n):
+    """Largest prime q < 2**62 with q = 1 mod 2n, found with sympy."""
+    q = ((1 << 62) - 1) // (2 * n) * (2 * n) + 1
+    while not sympy.isprime(q):
+        q -= 2 * n
+    return q
 
 
 class ContextCache:

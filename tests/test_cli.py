@@ -62,6 +62,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert merged["seed"] == 5
 
 
+def test_config_accepts_integral_floats(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"n": 16.0, "n_part": 8.0, "p": 2.0, "q": 97.0, "seed": 5.0}')
+    out = tmp_path / "out.json"
+    assert run(["params", "--config", str(cfg_path), "--out", str(out)]) == 0
+    merged = json.loads(out.read_text())
+    assert (merged["n"], merged["n_part"], merged["p"], merged["q"], merged["seed"]) == (16, 8, 2, 97, 5)
+
+
 def test_map_clean(tmp_path):
     layout_csv = tmp_path / "layout.csv"
     report_json = tmp_path / "report.json"
@@ -246,6 +255,11 @@ BAD_CONFIG_TEXTS = [
     '{"n": 16, "n_part": true, "p": 2}',
     '{"n": 16, "n_part": 8, "p": 2, "hbm_gbps": Infinity}',
     '{"n": 16, "n_part": 8, "p": 2, "freq_mhz": NaN}',
+    '{"n": 16.9, "n_part": 8, "p": 2, "q": 97}',
+    '{"n": 16, "n_part": 8.5, "p": 2, "q": 97}',
+    '{"n": 16, "n_part": 8, "p": 2.5, "q": 97}',
+    '{"n": 16, "n_part": 8, "p": 2, "q": 97.5}',
+    '{"n": 16, "n_part": 8, "p": 2, "q": 97, "seed": 1.5}',
 ]
 
 

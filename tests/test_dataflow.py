@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from hybridntt import dataflow
 from hybridntt.dataflow import (
     BUTTERFLY,
     SWAP,
@@ -12,7 +13,7 @@ from hybridntt.dataflow import (
     mode_schedule,
     run_transform,
 )
-from hybridntt.fragmentation import BadConfig
+from hybridntt.fragmentation import BadConfig, access_schedule
 from hybridntt.modmath import precompute_shoup
 from hybridntt.reference import ContextMismatch, Polynomial, forward_values, random_polynomial
 from hybridntt.twiddles import arrange_twiddles
@@ -199,6 +200,25 @@ def test_audit_joint_large(ctx_cache):
     _, trace = run_transform(poly, config, ctx, trace=True)
     report = audit_trace(trace, config, schedule, assignment)
     assert report.ok
+
+
+def test_audit_builds_the_access_schedule_once_per_geometry(ctx_cache, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].n)
+        return access_schedule(*args)
+
+    monkeypatch.setattr(dataflow, "access_schedule", counting)
+    dataflow._schedule_touches.cache_clear()
+    ctx = ctx_cache.get(64)
+    config = EngineConfig(64, 8, 2)
+    schedule = mode_schedule(64, 8)
+    assignment = arrange_twiddles(config, schedule, ctx)
+    for seed in range(3):
+        _, trace = run_transform(random_polynomial(ctx, seed), config, ctx, trace=True)
+        assert audit_trace(trace, config, schedule, assignment).ok
+    assert calls == [64]
 
 
 def test_context_mismatch(ctx_cache):

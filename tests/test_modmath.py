@@ -123,10 +123,10 @@ def test_prime_modulus_invariants():
 def test_build_context_small():
     ctx = build_context(17, 4)
     assert ctx.psi == 9
-    assert ctx.fwd_values == [1, 13, 9, 15]
-    assert ctx.inv_values == [1, 4, 2, 8]
-    assert ctx.fwd_shoups == [(w << 64) // 17 for w in ctx.fwd_values]
-    assert ctx.inv_shoups == [(w << 64) // 17 for w in ctx.inv_values]
+    assert ctx.fwd_values.tolist() == [1, 13, 9, 15]
+    assert ctx.inv_values.tolist() == [1, 4, 2, 8]
+    assert ctx.fwd_shoups.tolist() == [(w << 64) // 17 for w in ctx.fwd_values.tolist()]
+    assert ctx.inv_shoups.tolist() == [(w << 64) // 17 for w in ctx.inv_values.tolist()]
     assert ctx.n_inv.value * 4 % 17 == 1
 
 
@@ -135,10 +135,25 @@ def test_table_symmetry(n, q):
     # re-indexed to natural power order, fwd and inv entries are inverses
     ctx = build_context(q, n)
     bits = n.bit_length() - 1
-    fwd_nat = [ctx.fwd_values[bit_reverse(j, bits)] for j in range(n)]
-    inv_nat = [ctx.inv_values[bit_reverse(j, bits)] for j in range(n)]
+    fwd_nat = [int(ctx.fwd_values[bit_reverse(j, bits)]) for j in range(n)]
+    inv_nat = [int(ctx.inv_values[bit_reverse(j, bits)]) for j in range(n)]
     for j in range(n):
         assert fwd_nat[j] * inv_nat[j] % q == 1
+
+
+@pytest.mark.parametrize("n", [4, 64, 1 << 16])
+def test_tables_in_bit_reversed_power_order(n):
+    # the vectorised permutation against the scalar bit_reverse oracle
+    q = find_ntt_prime(n, 1 << 59)
+    ctx = build_context(q, n)
+    bits = n.bit_length() - 1
+    psi_inv = pow(ctx.psi, -1, q)
+    fwd = [pow(ctx.psi, bit_reverse(k, bits), q) for k in range(n)]
+    inv = [pow(psi_inv, bit_reverse(k, bits), q) for k in range(n)]
+    assert ctx.fwd_values.tolist() == fwd
+    assert ctx.inv_values.tolist() == inv
+    assert ctx.fwd_shoups.tolist() == [(w << 64) // q for w in fwd]
+    assert ctx.inv_shoups.tolist() == [(w << 64) // q for w in inv]
 
 
 def test_build_context_word_size_prime(ctx_cache):

@@ -3,29 +3,32 @@
 Geometry is drawn as n_part = 2**2..2**6, p = 2..n_part/2 and
 n = n_part..n_part**2 (never below 4), which reaches engine shapes and
 small lengths the acceptance sweep never visits.  Each example uses either
-the smallest NTT-friendly prime or the largest one below 2**62.
+the smallest NTT-friendly prime or the largest one below 2**62.  The HPLY
+reader is fuzzed with arbitrary bytes.
 """
 
+import os
+import struct
+import tempfile
 from functools import lru_cache
 
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridntt.dataflow import EngineConfig, run_transform
 from hybridntt.modmath import build_context, find_ntt_prime
-from hybridntt.reference import forward_values, inverse_values, random_polynomial
+from hybridntt.reference import (
+    HPLY_MAGIC,
+    Polynomial,
+    forward_values,
+    inverse_values,
+    random_polynomial,
+    read_polynomial,
+)
+
+from conftest import largest_ntt_prime
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-@lru_cache(maxsize=None)
-def largest_ntt_prime(n):
-    """Largest prime q < 2**62 with q = 1 mod 2n, found with sympy."""
-    q = ((1 << 62) - 1) // (2 * n) * (2 * n) + 1
-    while not sympy.isprime(q):
-        q -= 2 * n
-    return q
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +51,12 @@ def test_engine_matches_forward_values(geometry, size, seed):
     n, n_part, p = geometry
     ctx = context(n, size)
     poly = random_polynomial(ctx, seed)
-    got, _ = run_transform(poly, EngineConfig(n, n_part, p), ctx)
+    config = EngineConfig(n, n_part, p)
+    got, _ = run_transform(poly, config, ctx)
     assert got.coeffs == forward_values(poly.coeffs, ctx)
+    # the traced run uses the scalar butterfly, the untraced one the array kernel
+    traced, _ = run_transform(poly, config, ctx, trace=True)
+    assert traced.coeffs == got.coeffs
 
 
 @PROPERTY_SETTINGS
@@ -58,3 +65,33 @@ def test_inverse_undoes_forward(log_n, size, seed):
     ctx = context(1 << log_n, size)
     a = random_polynomial(ctx, seed).coeffs
     assert inverse_values(forward_values(a, ctx), ctx) == a
+
+
+@st.composite
+def hply_bytes(draw):
+    """A valid HPLY file of small words (some not canonical), then spliced.
+
+    A few bytes at a drawn position are dropped and replaced by arbitrary
+    ones, which damages the header, truncates the body or appends to it.
+    """
+    n = draw(st.sampled_from([4, 8, 16]))
+    q = draw(st.sampled_from([17, 97, 7681]))
+    words = draw(st.lists(st.integers(0, 2 * q), min_size=n, max_size=n))
+    data = struct.pack(f"<4sIQQ{n}Q", HPLY_MAGIC, 1, n, q, *words)
+    cut = draw(st.integers(0, len(data)))
+    drop = draw(st.integers(0, 8))
+    return data[:cut] + draw(st.binary(max_size=8)) + data[cut + drop :]
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.binary(max_size=64), hply_bytes()))
+def test_read_polynomial_fuzz(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.hply")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            poly = read_polynomial(path)
+        except ValueError:
+            return
+    assert isinstance(poly, Polynomial)
