@@ -276,13 +276,7 @@ def cmd_schedule(args):
     merged = _load_run_config(args)
     config = _engine_config(merged)
     schedule = mode_schedule(config.n, config.n_part)
-    print(f"iterations: {schedule.iterations}")
-    print(f"first half:  {schedule.first_half.notation}")
-    print(f"second half: {schedule.second_half.notation}")
-    print("stage  stride  kind")
-    for info in classify_stages(config):
-        print(f"{info.stage:>5}  {info.stride:>6}  {info.kind}")
-    if args.twiddles:
+    if args.twiddles:  # written before anything is printed, so a failure prints nothing
         q = _resolve_q(merged, args.prime_floor)
         ctx = build_context(q, config.n)
         assignment = arrange_twiddles(config, schedule, ctx)
@@ -291,6 +285,13 @@ def cmd_schedule(args):
             for (it, st, u), idxs in sorted(assignment.grid.items())
         }
         _dump_json(grid, args.twiddles)
+    print(f"iterations: {schedule.iterations}")
+    print(f"first half:  {schedule.first_half.notation}")
+    print(f"second half: {schedule.second_half.notation}")
+    print("stage  stride  kind")
+    for info in classify_stages(config):
+        print(f"{info.stage:>5}  {info.stride:>6}  {info.kind}")
+    if args.twiddles:
         stats = replication_report(assignment)
         print(
             f"twiddles: distinct per pass {len(distinct_engine_factors(assignment))}, "

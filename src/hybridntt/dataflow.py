@@ -23,10 +23,10 @@ cycle accounting lives in perfmodel.
 The passes of one half touch disjoint elements, so the simulator runs them
 side by side, as the hardware pipelines them.  Each half is gathered from
 the banks through the XOR mapping into one (passes, n_part) uint64 array
-and scattered back after its stages.  Untraced, every arithmetic stage is
-one modmath.shoup_butterfly over that whole array.  Traced, the stages
-stay scalar, one butterfly() per lane, because every lane operation yields
-a record.  The golden model reference.forward_values stays scalar too: it
+and scattered back after its stages.  Traced or not, every arithmetic
+stage is one modmath.shoup_butterfly over that whole array; a traced run
+also copies the array around each stage and builds its lane records from
+those copies.  The golden model reference.forward_values stays scalar: it
 is faster than array code at the small n where it dominates, and it keeps
 the equivalence check independent of the engine's kernel.
 
@@ -34,9 +34,9 @@ Bit-exactness against reference.forward_values is the binding contract
 and is what the test suite enforces across the configuration sweep.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .fragmentation import (
     map_layout,
     mode_schedule,
     pass_plan,
+    round_touches,
     validate_geometry,
 )
 from .modmath import ShoupPair, add_mod, mul_mod_shoup, shoup_butterfly, sub_mod
@@ -165,128 +166,87 @@ class _Engine:
         self.layout = map_layout(config.n, config.n_part, config.p)
         self.trace = SimTrace(config) if trace else None
 
-    def _record_rounds(self, ps, direction):
-        tr = self.trace
-        lay = self.layout
-        width = 2 * self.config.p
-        for c in range(0, len(ps.indices), width):
-            chunk = ps.indices[c : c + width]
-            touches = [(lay.bank_of(i), i // lay.banks, i) for i in chunk]
-            tr.rounds.append(RoundRecord(ps.iteration, c // width, direction, touches))
-            tr.rounds_executed += 1
-            if direction == READ:
-                tr.elements_read += len(chunk)
-            else:
-                tr.elements_written += len(chunk)
-
     # stage execution -----------------------------------------------------
 
-    def _run_stages(self, local, stages, wbase):
+    def _run_stages(self, local, half, snapshots=None):
         """Every arithmetic stage over all passes of a half at once.
 
         local[k] is pass k's n_part elements.  A stage with stride t splits
         each row into blocks of 2t; a block's t butterflies pair its two
-        halves and share one twiddle, entry wbase[k, stage] + (low >> shift).
+        halves and share one twiddle, the table entry of the block's low end.
+        A traced run passes `snapshots`, which receives a copy of the half
+        before each stage and after the last one.
         """
         ctx = self.ctx
         count, n_part = local.shape
         scratch = np.empty((5, count * n_part // 2), np.uint64)
-        for st in stages:
+        for st in half.stages:
+            if snapshots is not None:
+                snapshots.append(local.copy())
             if st.mode != BUTTERFLY:
                 continue  # swap mode forwards its pairs untouched
             span = n_part >> st.stage
             blocks = local.reshape(count, n_part // span, 2, span // 2)
-            wi = wbase[:, st.stage, None] + (np.arange(0, n_part, span) >> st.shift)
+            wi = half.twiddle_index(st, np.arange(0, n_part, span))
             x, y = blocks[:, :, 0], blocks[:, :, 1]
             w, ws = ctx.fwd_values[wi, None], ctx.fwd_shoups[wi, None]
             shoup_butterfly(x, y, w, ws, ctx.q, scratch.reshape((5,) + y.shape))
+        if snapshots is not None:
+            snapshots.append(local.copy())
 
-    def _run_stage_traced(self, local, iteration, st):
-        """Stage execution with one record per lane operation.
+    def _record_half(self, half, where, snapshots):
+        """Append the half's records, pass by pass: reads, lanes, writes.
 
-        All butterflies of a block share one table entry, so indexing by
-        the low element j gives the same twiddle as indexing by block start.
-        butterfly() takes a ShoupPair, so one is built per block.
+        The rounds come from the bank and offset arrays the gather used,
+        the lane records from the snapshots around each stage.  A lane's
+        position is its rank among the 2p elements of its round.
         """
-        q = self.ctx.q
-        s = st.stage
-        stride = self.config.n_part >> (s + 1)
-        w = wi = None
-        for rnd, lows in enumerate(st.rounds):
-            members = sorted(lows + [j + stride for j in lows])
-            lane = {j: pos for pos, j in enumerate(members)}
-            for b, j in enumerate(lows):
-                x1 = local[j]
-                x2 = local[j + stride]
-                y1, y2 = x1, x2
-                if st.mode == BUTTERFLY:
-                    k = st.wbase + (j >> st.shift)
-                    if k != wi:
-                        wi = k
-                        w = ShoupPair(int(self.ctx.fwd_values[k]), int(self.ctx.fwd_shoups[k]))
-                    y1, y2 = butterfly(x1, x2, w, BUTTERFLY, q)
-                    local[j] = y1
-                    local[j + stride] = y2
-                self.trace.bus.append(
-                    BuRecord(
-                        iteration=iteration,
-                        round=rnd,
-                        stage=s,
-                        nttu=b >> 1,
-                        bu=b,
-                        mode=st.mode,
-                        lanes=(lane[j], lane[j + stride]),
-                        inputs=(x1, x2),
-                        twiddle_index=wi,
-                        outputs=(y1, y2),
+        tr = self.trace
+        p = self.config.p
+        count, n_part = half.indices.shape
+        touches = round_touches(*where, half.indices, half.arrival, 2 * p)
+        slots = [(r, b) for r in range(n_part // (2 * p)) for b in range(p)]
+        stages = []
+        for st, before, after in zip(half.stages, snapshots, snapshots[1:]):
+            lows = st.rounds
+            highs = lows + (n_part >> (st.stage + 1))
+            rank = np.argsort(np.argsort(np.hstack([lows, highs]), axis=1), axis=1)
+            lanes = list(zip(rank[:, :p].ravel().tolist(), rank[:, p:].ravel().tolist()))
+            lows, highs = lows.ravel(), highs.ravel()
+            twiddles = (half.twiddle_index(st, lows).tolist() if st.mode == BUTTERFLY
+                        else [[None] * len(lows)] * count)
+            values = [a[:, j].tolist() for a in (before, after) for j in (lows, highs)]
+            stages.append((st, lanes, twiddles, values))
+        for k, pass_rounds in enumerate(touches):
+            it = half.iteration + k
+            tr.rounds.extend(RoundRecord(it, r, READ, t) for r, t in enumerate(pass_rounds))
+            for st, lanes, twiddles, (x1, x2, y1, y2) in stages:
+                tr.bus.extend(
+                    BuRecord(it, r, st.stage, b >> 1, b, st.mode, lane, x, wi, y)
+                    for (r, b), lane, x, wi, y in zip(
+                        slots, lanes, zip(x1[k], x2[k]), twiddles[k], zip(y1[k], y2[k])
                     )
                 )
-
-    def _run_half(self, banks, passes, count):
-        """Gather, stage pipeline and scatter of `count` independent passes.
-
-        The passes of one iteration half touch disjoint elements, so they run
-        side by side as one (count, n_part) array: row k holds pass k's
-        elements at their local positions, gathered from and scattered back
-        to the banks through the XOR mapping.  The passes share stage modes
-        and shifts and differ only in wbase.  A traced run executes each
-        pass's stages with scalar arithmetic, one record per lane.
-        """
-        cfg = self.config
-        lay = self.layout
-        index = np.empty((count, cfg.n_part), np.int64)
-        wbase = np.empty((count, cfg.s_part), np.int64)
-        traced = []
-        for k, ps in enumerate(passes):
-            index[k, ps.positions] = ps.indices
-            wbase[k] = [st.wbase for st in ps.stages]
-            if self.trace is not None:
-                traced.append(ps)
-        where = lay.bank_of(index), lay.offset_of(index)
-        local = banks[where]
-        if self.trace is None:
-            self._run_stages(local, ps.stages, wbase)
-        else:
-            rows = local.tolist()
-            for row, ps in zip(rows, traced):
-                self._record_rounds(ps, READ)
-                for st in ps.stages:
-                    self._run_stage_traced(row, ps.iteration, st)
-                self._record_rounds(ps, WRITE)
-            local = np.array(rows, np.uint64)
-        banks[where] = local
+            tr.rounds.extend(RoundRecord(it, r, WRITE, list(t)) for r, t in enumerate(pass_rounds))
+        tr.rounds_executed += 2 * sum(map(len, touches))
+        tr.elements_read += count * n_part
+        tr.elements_written += count * n_part
 
     def run(self, coeffs):
         cfg = self.config
-        arrangement = self.layout.arrangement
-        banks = np.array(coeffs, np.uint64)[arrangement]  # sequential burst into the banks
-        plan = pass_plan(cfg.n, cfg.n_part, cfg.p)
-        first_half = cfg.n // cfg.n_part
-        for count in (first_half, cfg.iterations - first_half):
-            if count:
-                self._run_half(banks, islice(plan, count), count)
+        lay = self.layout
+        banks = np.array(coeffs, np.uint64)[lay.arrangement]  # sequential burst into the banks
+        for half in pass_plan(cfg.n, cfg.n_part, cfg.p):
+            # the passes of a half touch disjoint elements: one (passes, n_part) array
+            where = lay.bank_of(half.indices), lay.offset_of(half.indices)
+            local = banks[where]
+            snapshots = None if self.trace is None else []
+            self._run_stages(local, half, snapshots)
+            if snapshots is not None:
+                self._record_half(half, where, snapshots)
+            banks[where] = local
         out = np.empty(cfg.n, np.uint64)
-        out[arrangement] = banks
+        out[lay.arrangement] = banks
         return out.tolist()
 
 
@@ -335,6 +295,9 @@ class AuditReport:
         }
 
 
+_ROUND_KEY = ("iteration", "round", "direction")
+
+
 @lru_cache(maxsize=4)
 def _schedule_touches(n: int, n_part: int, p: int) -> tuple:
     """The access schedule as ({(iteration, round, direction): row}, touches[row]).
@@ -354,7 +317,8 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
     (a) every buffer round moves exactly 2p elements; (b) swap-mode lanes
     perform no multiplications and no value changes; (c) per-slot twiddle
     consumption equals the arranged assignment; (d) per-round bank sets
-    match the standalone access schedule enumeration.
+    match the standalone access schedule enumeration, which names every
+    round the trace must hold exactly once.
     """
     width = 2 * config.p
     width_errors = []
@@ -397,12 +361,16 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
 
     rows, touches = _schedule_touches(config.n, config.n_part, config.p)
     bank_mismatches = []
+    recorded = Counter()
     for rec in trace.rounds:
-        row = rows.get((rec.iteration, rec.round, rec.direction))
+        key = (rec.iteration, rec.round, rec.direction)
+        recorded[key] += 1
+        row = rows.get(key)
         if row is None or frozenset(rec.touches) != frozenset(map(tuple, touches[row].tolist())):
-            bank_mismatches.append(
-                {"iteration": rec.iteration, "round": rec.round, "direction": rec.direction}
-            )
+            bank_mismatches.append(dict(zip(_ROUND_KEY, key)))
+    for key in rows:  # each scheduled round exactly once
+        if recorded[key] != 1:
+            bank_mismatches.append({**dict(zip(_ROUND_KEY, key)), "recorded": recorded[key]})
 
     return AuditReport(
         rounds_seen=trace.rounds_executed,

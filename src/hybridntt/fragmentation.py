@@ -2,8 +2,9 @@
 the machine checks of that mapping.
 
 pass_plan is the one derivation of which elements each array pass moves,
-in which order, and how each array stage is configured; the engine, the
-access schedule and the twiddle grid all read it.
+in which order, and how each array stage is configured, as arrays over all
+passes of an iteration half; the engine, the access schedule and the
+twiddle grid all read it.
 
 The on-chip buffer is split into 2p banks of n/(2p) words.  Element i
 lands at
@@ -93,34 +94,43 @@ def mode_schedule(n: int, n_part: int) -> ModeSchedule:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanStage:
-    """One array stage of a pass.
+    """One array stage, shared by every pass of a half.
 
     An arithmetic butterfly with low element j uses twiddle table entry
-    wbase + (j >> shift).  rounds lists the low elements of each p-wide
-    compute round in issue order; it is the same for every pass.
+    wbase + (j >> shift), wbase being the pass's own.  rounds[r] holds the
+    low elements of the r-th p-wide compute round, in issue order.
     """
 
     stage: int
     mode: str
-    wbase: int
     shift: int
-    rounds: tuple
+    rounds: np.ndarray  # (n_part / (2p), p)
 
 
-@dataclass(frozen=True)
-class Pass:
-    """One array pass: indices[t] arrives t-th and sits at local positions[t]."""
+@dataclass(frozen=True, eq=False)
+class HalfPlan:
+    """The passes of one iteration half; row k is pass `iteration + k`.
+
+    indices[k, u] is the global index at local position u of pass k, and
+    every pass's elements arrive in the local-position order `arrival`.
+    wbase[k, s] is pass k's twiddle base at array stage s.
+    """
 
     iteration: int
-    positions: list
-    indices: list
-    stages: tuple
+    indices: np.ndarray  # (passes, n_part)
+    arrival: np.ndarray  # (n_part,)
+    wbase: np.ndarray  # (passes, s_part)
+    stages: tuple  # PlanStage per array stage
+
+    def twiddle_index(self, st: PlanStage, lows):
+        """(passes, len(lows)): table entry of st's butterfly with low element lows[i]."""
+        return self.wbase[:, st.stage, None] + (lows >> st.shift)
 
 
-def pass_plan(n: int, n_part: int, p: int):
-    """Yield the engine's passes in execution order, one at a time.
+def pass_plan(n: int, n_part: int, p: int) -> tuple:
+    """The engine's passes as one HalfPlan per iteration half, in order.
 
     First-half pass k owns the stride-m coset {u*m + k} (m = n/n_part) and
     runs every stage in arithmetic mode.  Its elements arrive with the block
@@ -132,34 +142,43 @@ def pass_plan(n: int, n_part: int, p: int):
     single-pass transform (m == 1) is one first-half pass.
     """
     validate_geometry(n, n_part, p)
-    schedule = mode_schedule(n, n_part)
+    swap_stages = mode_schedule(n, n_part).second_half.swap_stages
     s_part = n_part.bit_length() - 1
     log_m = n.bit_length() - n_part.bit_length()
     m = 1 << log_m
-    rounds = []
-    for s in range(s_part):
-        stride = n_part >> (s + 1)
-        lows = [j for blk in range(0, n_part, 2 * stride) for j in range(blk, blk + stride)]
-        rounds.append(tuple(lows[r : r + p] for r in range(0, len(lows), p)))
-    first_half = tuple(
-        PlanStage(s, BUTTERFLY, 1 << s, s_part - s, rounds[s]) for s in range(s_part)
-    )
-    g_count = n_part // m  # m <= n_part is guaranteed by n <= n_part**2
-    order = [b * g_count + g for g in range(g_count) for b in range(m)]
-    local = list(range(n_part))
-    swap_stages = schedule.second_half.swap_stages
-    for it in range(schedule.iterations):
-        if it < m:
-            yield Pass(it, order, [u * m + it for u in order], first_half)
-            continue
-        h = it - m
-        stages = tuple(
-            PlanStage(s, SWAP, 0, 0, rounds[s])
-            if s < swap_stages
-            else PlanStage(s, BUTTERFLY, (1 << (s + log_m)) + (h << s), s_part - s, rounds[s])
-            for s in range(s_part)
+    i = np.arange(n)  # both halves' index matrices are views of it
+    u = i[:n_part]
+    s = np.arange(s_part)
+
+    def stages(swaps):  # stage t pairs positions stride n_part >> (t+1) apart
+        return tuple(
+            PlanStage(t, SWAP if t < swaps else BUTTERFLY, s_part - t,
+                      u[(u & (n_part >> (t + 1))) == 0].reshape(-1, p))
+            for t in range(s_part)
         )
-        yield Pass(it, local, list(range(h * n_part, (h + 1) * n_part)), stages)
+
+    first = HalfPlan(
+        0,
+        i.reshape(n_part, m).T,
+        u.reshape(m, n_part // m).T.ravel(),  # m <= n_part as n <= n_part**2
+        np.broadcast_to(1 << s, (m, s_part)),
+        stages(0),
+    )
+    if m == 1:
+        return (first,)
+    h = np.arange(m)[:, None]
+    wbase = np.where(s < swap_stages, 0, (1 << (s + log_m)) + (h << s))
+    return first, HalfPlan(m, i.reshape(m, n_part), u, wbase, stages(swap_stages))
+
+
+def round_touches(bank, offset, indices, arrival, width: int) -> list:
+    """Per pass, the (bank, offset, index) triples of each width-wide round.
+
+    bank, offset and indices are (passes, n_part) in local-position order;
+    rounds take the elements in arrival order.
+    """
+    cols = [a[:, arrival].reshape(len(a), -1, width).tolist() for a in (bank, offset, indices)]
+    return [[list(zip(*rnd)) for rnd in zip(*rows)] for rows in zip(*cols)]
 
 
 @dataclass
@@ -219,16 +238,16 @@ def access_schedule(layout: BankLayout, config, schedule) -> list:
     """
     if (layout.n, layout.n_part, layout.p) != (config.n, config.n_part, config.p):
         raise BadConfig("layout and config geometry disagree")
-    width = 2 * layout.p
     rounds = []
     total_iterations = 0
-    for ps in pass_plan(layout.n, layout.n_part, layout.p):
-        total_iterations += 1
-        for direction in (READ, WRITE):
-            for c in range(0, len(ps.indices), width):
-                chunk = ps.indices[c : c + width]
-                touches = [(layout.bank_of(i), layout.offset_of(i), i) for i in chunk]
-                rounds.append(AccessRound(ps.iteration, c // width, direction, touches))
+    for half in pass_plan(layout.n, layout.n_part, layout.p):
+        idx = half.indices
+        where = layout.bank_of(idx), layout.offset_of(idx)
+        for k, per_round in enumerate(round_touches(*where, idx, half.arrival, 2 * layout.p)):
+            for direction in (READ, WRITE):
+                for r, touches in enumerate(per_round):
+                    rounds.append(AccessRound(half.iteration + k, r, direction, list(touches)))
+        total_iterations += len(idx)
     if total_iterations != schedule.iterations:
         raise BadConfig(
             f"schedule expects {schedule.iterations} iterations, enumerated {total_iterations}"

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataflow import EngineConfig
+from .fragmentation import BadConfig
 
 # assumed register depth of one fully pipelined compute unit; only the
 # degraded (F > 0) estimate depends on it
@@ -56,8 +57,14 @@ class RooflineParams:
     twiddle_amortized_bytes: float = 0.0  # external twiddle bytes charged per transform
 
     def __post_init__(self):
-        if self.bytes_per_element <= 0 or self.hbm_gbps <= 0 or self.freq_mhz <= 0:
-            raise ValueError("roofline parameters must be positive")
+        sizes = (self.bytes_per_element, self.hbm_gbps, self.freq_mhz)
+        costs = (self.twiddles_per_butterfly, self.twiddle_amortized_bytes)
+        if not all(map(math.isfinite, sizes + costs)):
+            raise BadConfig("roofline parameters must be finite")
+        if min(sizes) <= 0:
+            raise BadConfig("bytes_per_element, hbm_gbps and freq_mhz must be positive")
+        if min(costs) < 0:
+            raise BadConfig("twiddle_amortized_bytes and twiddles_per_butterfly must be >= 0")
 
 
 def butterflies_per_transform(n: int) -> int:
@@ -113,8 +120,8 @@ def bandwidth_demand(config: EngineConfig, achieved_ops: float, params: Roofline
     demand = achieved_ops * (2*n*b + amortized twiddle bytes); flagged
     memory bound when it exceeds the configured link bandwidth.
     """
-    if achieved_ops < 0:
-        raise ValueError("achieved_ops must be nonnegative")
+    if not math.isfinite(achieved_ops) or achieved_ops < 0:
+        raise BadConfig("achieved_ops must be finite and nonnegative")
     if params is None:
         params = RooflineParams(hbm_gbps=config.hbm_gbps, freq_mhz=config.freq_mhz)
     per_transform = 2.0 * config.n * params.bytes_per_element + params.twiddle_amortized_bytes
@@ -193,12 +200,14 @@ def roofline_table(
 ) -> list:
     """Sweep (kind, n, p) and return PerfReport rows."""
     if not kinds or not n_values or not p_values:
-        raise ValueError("sweeps must be non-empty")
+        raise BadConfig("sweeps must be non-empty")
     rows = []
     for kind in kinds:
         for n in n_values:
+            if n < 2:
+                raise BadConfig(f"n={n} must be at least 2")
             if not math.log2(n).is_integer():
-                raise ValueError(f"n={n} must be a power of two")
+                raise BadConfig(f"n={n} must be a power of two")
             for p in p_values:
                 rows.append(analyze(kind, int(n), int(p), params, n_part=n_part))
     return rows

@@ -42,7 +42,7 @@ class Polynomial:
         q = self.ctx.q
         if len(self.coeffs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(self.coeffs)}")
-        if any(not 0 <= c < q for c in self.coeffs):
+        if min(self.coeffs) < 0 or max(self.coeffs) >= q:
             raise ValueError("coefficients must be canonical residues in [0, q)")
 
     def __eq__(self, other):

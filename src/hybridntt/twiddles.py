@@ -51,16 +51,19 @@ def arrange_twiddles(
 
     units = config.p // 2
     grid: dict = {}
-    for ps in pass_plan(config.n, config.n_part, config.p):
-        for st in ps.stages:
-            lists = [[] for _ in range(units)]
+    for half in pass_plan(config.n, config.n_part, config.p):
+        count = len(half.indices)
+        for st in half.stages:
             if st.mode == BUTTERFLY:
-                for lows in st.rounds:
-                    for b, j in enumerate(lows):
-                        lists[b >> 1].append(st.wbase + (j >> st.shift))
-            for u, idxs in enumerate(lists):
-                grid[(ps.iteration, st.stage, u)] = idxs
-    return TwiddleAssignment(config, grid)
+                # unit u runs lanes 2u and 2u+1 of every round, round by round
+                wi = half.twiddle_index(st, st.rounds.ravel()).reshape(count, -1, units, 2)
+                per_pass = wi.swapaxes(1, 2).reshape(count, units, -1).tolist()
+            else:
+                per_pass = [[[] for _ in range(units)] for _ in range(count)]
+            for it, per_unit in enumerate(per_pass, half.iteration):
+                for u, idxs in enumerate(per_unit):
+                    grid[(it, st.stage, u)] = idxs
+    return TwiddleAssignment(config, dict(sorted(grid.items())))  # keys in pass-major order
 
 
 def distinct_engine_factors(assignment: TwiddleAssignment) -> set:
@@ -69,11 +72,10 @@ def distinct_engine_factors(assignment: TwiddleAssignment) -> set:
     Taken over the first-half slots, whose working set is the same in every
     pass; expected cardinality is n_part - 1.
     """
-    m = assignment.config.n // assignment.config.n_part
-    first_half = m if m > 1 else 1
+    m = assignment.config.n // assignment.config.n_part  # first-half passes
     out: set = set()
     for (it, _s, _u), idxs in assignment.grid.items():
-        if it < first_half:
+        if it < m:
             out.update(idxs)
     return out
 

@@ -291,6 +291,14 @@ REJECTED = {
        for runs in ("0", "-3")},
     **{f"analyze{flag}={sweep}": _fixed_argv("analyze", f"{flag}={sweep}")
        for flag in ("--sweep-n", "--sweep-p") for sweep in BAD_SWEEPS},
+    "analyze-stage-n1": _fixed_argv("analyze", "--arch", "stage", "--sweep-n", "1"),
+    "analyze-stage-w-4": _fixed_argv("analyze", "--arch", "stage", "--sweep-n", "16", "--w=-4"),
+    "analyze-w-5": _fixed_argv("analyze", "--w=-5"),
+    "analyze-twiddle-bytes-nan": _fixed_argv("analyze", "--twiddle-bytes", "nan"),
+    "analyze-twiddle-bytes-negative": _fixed_argv("analyze", "--twiddle-bytes=-1"),
+    "analyze-achieved-ops-nan": _fixed_argv("analyze", "--achieved-ops", "nan"),
+    "analyze-hbm-gbps-inf": _fixed_argv("analyze", "--hbm-gbps", "inf"),
+    "analyze-freq-mhz-nan": _fixed_argv("analyze", "--freq-mhz", "nan"),
 }
 
 
@@ -303,3 +311,28 @@ def test_rejected_input_exits_2_with_one_json_error(name, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "BadConfig"
+
+
+GEOMETRY = ("--n", "16", "--npart", "8", "--p", "2", "--q", "97")
+
+# a path argument that cannot be opened: a missing file to read, or a file in a missing directory
+IO_FAILURES = {
+    "params--config": lambda tmp: ["params", "--config", str(tmp / "missing.json")],
+    "params--out": lambda tmp: ["params", *GEOMETRY, "--out", str(tmp / "no" / "c.json")],
+    "map--csv": lambda tmp: ["map", *GEOMETRY[:6], "--csv", str(tmp / "no" / "l.csv")],
+    "verify--out": lambda tmp: ["verify", *GEOMETRY, "--runs", "1", "--out", str(tmp / "no" / "v.json")],
+    "schedule--twiddles": lambda tmp: ["schedule", *GEOMETRY, "--twiddles", str(tmp / "no" / "g.json")],
+    "analyze--csv": lambda tmp: ["analyze", "--csv", str(tmp / "no" / "r.csv")],
+    "analyze--json": lambda tmp: ["analyze", "--json", str(tmp / "no" / "r.json")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(IO_FAILURES))
+def test_io_failure_exits_3_with_one_json_error(name, tmp_path, capsys):
+    code = run(IO_FAILURES[name](tmp_path))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FileNotFoundError"

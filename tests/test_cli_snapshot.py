@@ -48,6 +48,7 @@ CASES = {
     "verify-256": lambda tmp, out: [
         "verify", "--n", "256", "--npart", "256", "--p", "16", "--runs", "3"],
     "transform-16": _transform(16, 8, 2, 97),
+    "transform-256": _transform(256, 256, 16, find_ntt_prime(256, 1 << 59)),
     "transform-8192": _transform(8192, 256, 16, find_ntt_prime(8192, 1 << 59)),
     "analyze": lambda tmp, out: [
         "analyze", "--arch", "all", "--sweep-n", "256..65536", "--sweep-p", "2..16",
@@ -99,6 +100,14 @@ EXPECTED = {
         {
             "out.hply": "92553050bce1d39695f1e83efca31dcbc23da76bf57c0b5fcf1ceb2225da0b58",
             "trace.jsonl": "94c0bc99226233842a3ca84bda2d841b9158fd0ea355f3e97781be324f8dd664",
+        },
+    ),
+    "transform-256": (
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {
+            "out.hply": "ff0ecc97db2dea76ccdda1441810d744ef1924d892e17b96019e1ffbb71a3cc7",
+            "trace.jsonl": "00e6ea254d7982dd679fe5e273bc867fecebb990b08ca72e4fcc5dd0669be98d",
         },
     ),
     "transform-8192": (

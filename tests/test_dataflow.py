@@ -189,6 +189,27 @@ def test_audit_clean_and_forged(ctx_cache):
     assert not report.ok
     assert report.twiddle_mismatches
 
+    def round_at(rounds, key):
+        return next(i for i, r in enumerate(rounds) if (r.iteration, r.round, r.direction) == key)
+
+    dropped = copy.deepcopy(trace)
+    del dropped.rounds[round_at(dropped.rounds, (0, 1, "read"))]
+    report = audit_trace(dropped, config, schedule, assignment)
+    assert not report.ok
+    assert report.bank_pattern_mismatches == [
+        {"iteration": 0, "round": 1, "direction": "read", "recorded": 0}
+    ]
+
+    repeated = copy.deepcopy(trace)
+    first = repeated.rounds[round_at(repeated.rounds, (0, 0, "read"))]
+    repeated.rounds[round_at(repeated.rounds, (0, 1, "read"))] = copy.deepcopy(first)
+    report = audit_trace(repeated, config, schedule, assignment)
+    assert not report.ok
+    assert report.bank_pattern_mismatches == [
+        {"iteration": 0, "round": 0, "direction": "read", "recorded": 2},
+        {"iteration": 0, "round": 1, "direction": "read", "recorded": 0},
+    ]
+
 
 def test_audit_joint_large(ctx_cache):
     n = 1 << 13
