@@ -13,9 +13,13 @@ arguments, 3 I/O error.  Failures emit one JSON object on stderr.
 """
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import math
+import operator
+import os
 import sys
 
 from .dataflow import (
@@ -181,10 +185,28 @@ def cmd_transform(args):
     merged["n"] = poly.ctx.n
     config = _engine_config(merged)
     result, trace = run_transform(poly, config, poly.ctx, trace=bool(args.trace))
-    write_polynomial(args.output, result)
-    if args.trace:
-        _write_trace_jsonl(trace, args.trace)
+    fresh = [path for path in (args.output, args.trace) if path and not os.path.exists(path)]
+    try:
+        write_polynomial(args.output, result)
+        if args.trace:
+            _write_trace_jsonl(trace, args.trace)
+    except BaseException:
+        for path in fresh:  # a failed transform leaves no result behind
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     return EXIT_OK
+
+
+# One line template per record kind.  Each reproduces what
+# json.JSONEncoder(sort_keys=True) writes for the record's fields, with its
+# pairs as lists and its direction (or "bu") as "kind".
+_ROUND_LINE = '{"iteration": %d, "kind": "%s", "round": %d, "touches": [%s]}\n'
+_BU_LINE = (
+    '{"bu": %d, "inputs": [%d, %d], "iteration": %d, "kind": "bu", "lanes": [%d, %d], '
+    '"mode": "%s", "nttu": %d, "outputs": [%d, %d], "round": %d, "stage": %d, '
+    '"twiddle_index": %s}\n'
+)
 
 
 def _write_trace_jsonl(trace, path):
@@ -192,15 +214,21 @@ def _write_trace_jsonl(trace, path):
     groups = {}
     for rec in trace.rounds:
         groups.setdefault((rec.iteration, 0 if rec.direction == READ else 2), []).append(rec)
-    for rec in trace.bus:
-        groups.setdefault((rec.iteration, 1), []).append(rec)
-    encode = json.JSONEncoder(sort_keys=True).encode
+    for it, recs in itertools.groupby(trace.bus, operator.attrgetter("iteration")):
+        groups.setdefault((it, 1), []).extend(recs)
     with open(path, "w") as fh:
-        for key in sorted(groups):
-            for rec in groups[key]:
-                fields = dict(vars(rec))
-                fields["kind"] = fields.pop("direction", "bu")
-                fh.write(encode(fields) + "\n")
+        for (_, part), recs in sorted(groups.items()):
+            if part == 1:
+                fh.writelines([
+                    _BU_LINE % (b, x1, x2, it, l1, l2, mode, u, y1, y2, r, st,
+                                "null" if wi is None else wi)
+                    for it, r, st, u, b, mode, l1, l2, x1, x2, wi, y1, y2 in recs
+                ])
+            else:
+                fh.writelines([
+                    _ROUND_LINE % (it, kind, r, ", ".join(["[%d, %d, %d]" % t for t in touches]))
+                    for it, r, kind, touches in recs
+                ])
 
 
 def cmd_verify(args):

@@ -26,17 +26,23 @@ the banks through the XOR mapping into one (passes, n_part) uint64 array
 and scattered back after its stages.  Traced or not, every arithmetic
 stage is one modmath.shoup_butterfly over that whole array; a traced run
 also copies the array around each stage and builds its lane records from
-those copies.  The golden model reference.forward_values stays scalar: it
-is faster than array code at the small n where it dominates, and it keeps
-the equivalence check independent of the engine's kernel.
+those copies.  Trace records are flat NamedTuples built in bulk, one
+map(BuRecord._make, zip(...)) per pass and stage, so a lane record is a
+single object for the cyclic garbage collector.  The golden model
+reference.forward_values stays scalar: it is faster than array code at
+the small n where it dominates, and it keeps the equivalence check
+independent of the engine's kernel.
 
 Bit-exactness against reference.forward_values is the binding contract
 and is what the test suite enforces across the configuration sweep.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +76,8 @@ class EngineConfig:
 
     def __post_init__(self):
         validate_geometry(self.n, self.n_part, self.p)
-        if self.freq_mhz <= 0 or self.hbm_gbps <= 0:
-            raise BadConfig("freq_mhz and hbm_gbps must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.freq_mhz, self.hbm_gbps)):
+            raise BadConfig("freq_mhz and hbm_gbps must be finite and positive")
 
     @property
     def s(self) -> int:
@@ -123,26 +129,45 @@ def butterfly(x1: int, x2: int, w: ShoupPair, mode: str, q: int) -> tuple:
     return add_mod(x1, t, q), sub_mod(x1, t, q)
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
     iteration: int
     round: int
     direction: str
-    touches: list  # (bank, offset, global_index)
+    touches: tuple  # ((bank, offset, global_index), ...)
 
 
-@dataclass
-class BuRecord:
+class BuRecord(NamedTuple):
+    """One lane operation, its pairs held as flat fields.
+
+    A trace holds one record per lane, so each record is one tracked
+    object rather than four (the record and three pair tuples).
+    """
+
     iteration: int
     round: int
     stage: int
     nttu: int
     bu: int
     mode: str
-    lanes: tuple  # within-round stream positions of the two inputs
-    inputs: tuple
+    lane1: int  # within-round stream positions of the two inputs
+    lane2: int
+    input1: int
+    input2: int
     twiddle_index: int | None
-    outputs: tuple
+    output1: int
+    output2: int
+
+    @property
+    def lanes(self) -> tuple:
+        return self.lane1, self.lane2
+
+    @property
+    def inputs(self) -> tuple:
+        return self.input1, self.input2
+
+    @property
+    def outputs(self) -> tuple:
+        return self.output1, self.output2
 
 
 @dataclass
@@ -199,19 +224,24 @@ class _Engine:
 
         The rounds come from the bank and offset arrays the gather used,
         the lane records from the snapshots around each stage.  A lane's
-        position is its rank among the 2p elements of its round.
+        position is its rank among the 2p elements of its round.  A pass's
+        lane records of one stage are zipped from per-lane columns, with
+        itertools.repeat for the fields that stay constant.
         """
         tr = self.trace
         p = self.config.p
         count, n_part = half.indices.shape
         touches = round_touches(*where, half.indices, half.arrival, 2 * p)
-        slots = [(r, b) for r in range(n_part // (2 * p)) for b in range(p)]
+        per_round = n_part // (2 * p)
+        rounds = [r for r in range(per_round) for _ in range(p)]
+        bus = list(range(p)) * per_round
+        nttus = [b >> 1 for b in bus]
         stages = []
         for st, before, after in zip(half.stages, snapshots, snapshots[1:]):
             lows = st.rounds
             highs = lows + (n_part >> (st.stage + 1))
             rank = np.argsort(np.argsort(np.hstack([lows, highs]), axis=1), axis=1)
-            lanes = list(zip(rank[:, :p].ravel().tolist(), rank[:, p:].ravel().tolist()))
+            lanes = rank[:, :p].ravel().tolist(), rank[:, p:].ravel().tolist()
             lows, highs = lows.ravel(), highs.ravel()
             twiddles = (half.twiddle_index(st, lows).tolist() if st.mode == BUTTERFLY
                         else [[None] * len(lows)] * count)
@@ -219,15 +249,14 @@ class _Engine:
             stages.append((st, lanes, twiddles, values))
         for k, pass_rounds in enumerate(touches):
             it = half.iteration + k
+            pass_rounds = list(map(tuple, pass_rounds))
             tr.rounds.extend(RoundRecord(it, r, READ, t) for r, t in enumerate(pass_rounds))
-            for st, lanes, twiddles, (x1, x2, y1, y2) in stages:
-                tr.bus.extend(
-                    BuRecord(it, r, st.stage, b >> 1, b, st.mode, lane, x, wi, y)
-                    for (r, b), lane, x, wi, y in zip(
-                        slots, lanes, zip(x1[k], x2[k]), twiddles[k], zip(y1[k], y2[k])
-                    )
-                )
-            tr.rounds.extend(RoundRecord(it, r, WRITE, list(t)) for r, t in enumerate(pass_rounds))
+            for st, (lane1, lane2), twiddles, (x1, x2, y1, y2) in stages:
+                tr.bus.extend(map(BuRecord._make, zip(
+                    repeat(it), rounds, repeat(st.stage), nttus, bus, repeat(st.mode),
+                    lane1, lane2, x1[k], x2[k], twiddles[k], y1[k], y2[k],
+                )))
+            tr.rounds.extend(RoundRecord(it, r, WRITE, t) for r, t in enumerate(pass_rounds))
         tr.rounds_executed += 2 * sum(map(len, touches))
         tr.elements_read += count * n_part
         tr.elements_written += count * n_part

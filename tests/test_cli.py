@@ -4,6 +4,7 @@ import json
 import pytest
 
 import hybridntt.cli as cli
+from hybridntt.dataflow import EngineConfig, RoundRecord, run_transform
 from hybridntt.modmath import build_context
 from hybridntt.reference import (
     Polynomial,
@@ -12,6 +13,8 @@ from hybridntt.reference import (
     read_polynomial,
     write_polynomial,
 )
+
+from conftest import largest_ntt_prime
 
 
 def run(argv):
@@ -143,6 +146,34 @@ def test_transform_roundtrip(tmp_path):
     assert swap_records and all(r["twiddle_index"] is None for r in swap_records)
 
 
+def _record_fields(rec):
+    """A trace record as the JSON object of its trace line."""
+    if isinstance(rec, RoundRecord):
+        return {"iteration": rec.iteration, "kind": rec.direction, "round": rec.round,
+                "touches": [list(t) for t in rec.touches]}
+    return {"iteration": rec.iteration, "kind": "bu", "round": rec.round, "stage": rec.stage,
+            "nttu": rec.nttu, "bu": rec.bu, "mode": rec.mode, "lanes": list(rec.lanes),
+            "inputs": list(rec.inputs), "twiddle_index": rec.twiddle_index,
+            "outputs": list(rec.outputs)}
+
+
+def test_trace_lines_match_json_encoder(tmp_path, ctx_cache):
+    part = {"read": 0, "bu": 1, "write": 2}
+    seen = set()
+    for n, n_part, p, q in ((16, 8, 2, 97), (256, 16, 4, largest_ntt_prime(256))):
+        ctx = ctx_cache.get(n, q=q)
+        _, trace = run_transform(random_polynomial(ctx, 5), EngineConfig(n, n_part, p), ctx, trace=True)
+        path = tmp_path / f"trace{n}.jsonl"
+        cli._write_trace_jsonl(trace, str(path))
+        fields = sorted(map(_record_fields, trace.rounds + trace.bus),
+                        key=lambda f: (f["iteration"], part[f["kind"]]))
+        assert path.read_text().splitlines() == [json.dumps(f, sort_keys=True) for f in fields]
+        seen |= {f["kind"] for f in fields}
+        seen |= {"null twiddle" for f in fields if f["kind"] == "bu" and f["twiddle_index"] is None}
+        seen |= {"above 2^61" for f in fields if f["kind"] == "bu" and max(f["outputs"]) >> 61}
+    assert seen == {"read", "bu", "write", "null twiddle", "above 2^61"}
+
+
 def test_transform_rejects_conflicting_config(tmp_path, capsys):
     ctx = build_context(97, 16)
     src = tmp_path / "in.hply"
@@ -265,16 +296,22 @@ BAD_CONFIG_TEXTS = [
 
 BAD_SWEEPS = ["0..8", "-4..8", "-1..-1", "0", "-2"]
 
+BAD_GEOMETRIES = [("--n", "16", "--npart", "8", "--p", "8"), ("--n", "12", "--npart", "8", "--p", "2")]
+
+
+def _input_hply(tmp_path):
+    src = tmp_path / "in.hply"
+    write_polynomial(str(src), random_polynomial(build_context(97, 16), 1))
+    return str(src)
+
 
 def _config_argv(command, text):
     def argv(tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
-        if command == "params":
-            return ["params", "--config", str(cfg)]
-        src = tmp_path / "in.hply"
-        write_polynomial(str(src), random_polynomial(build_context(97, 16), 1))
-        return ["transform", str(src), str(tmp_path / "out.hply"), "--config", str(cfg)]
+        if command != "transform":
+            return [command, "--config", str(cfg)]
+        return ["transform", _input_hply(tmp_path), str(tmp_path / "out.hply"), "--config", str(cfg)]
 
     return argv
 
@@ -286,6 +323,10 @@ def _fixed_argv(*args):
 REJECTED = {
     **{f"{command}-config-{i}": _config_argv(command, text)
        for command in ("params", "transform") for i, text in enumerate(BAD_CONFIG_TEXTS)},
+    "map-config-5": _config_argv("map", BAD_CONFIG_TEXTS[5]),
+    "schedule-config-8": _config_argv("schedule", BAD_CONFIG_TEXTS[8]),
+    **{f"{command}-geometry-{i}": _fixed_argv(command, *geometry)
+       for command in ("map", "schedule") for i, geometry in enumerate(BAD_GEOMETRIES)},
     **{f"verify-runs{runs}": _fixed_argv("verify", "--n", "16", "--npart", "8", "--p", "2",
                                          "--q", "97", "--runs", runs)
        for runs in ("0", "-3")},
@@ -315,6 +356,11 @@ def test_rejected_input_exits_2_with_one_json_error(name, tmp_path, capsys):
 
 GEOMETRY = ("--n", "16", "--npart", "8", "--p", "2", "--q", "97")
 
+
+def _transform_argv(tmp, output, trace):
+    return ["transform", _input_hply(tmp), str(tmp / output), *GEOMETRY[2:6], "--trace", str(tmp / trace)]
+
+
 # a path argument that cannot be opened: a missing file to read, or a file in a missing directory
 IO_FAILURES = {
     "params--config": lambda tmp: ["params", "--config", str(tmp / "missing.json")],
@@ -324,13 +370,18 @@ IO_FAILURES = {
     "schedule--twiddles": lambda tmp: ["schedule", *GEOMETRY, "--twiddles", str(tmp / "no" / "g.json")],
     "analyze--csv": lambda tmp: ["analyze", "--csv", str(tmp / "no" / "r.csv")],
     "analyze--json": lambda tmp: ["analyze", "--json", str(tmp / "no" / "r.json")],
+    "transform--trace": lambda tmp: _transform_argv(tmp, "out.hply", "no/t.jsonl"),
+    "transform--output": lambda tmp: _transform_argv(tmp, "no/out.hply", "t.jsonl"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(IO_FAILURES))
 def test_io_failure_exits_3_with_one_json_error(name, tmp_path, capsys):
-    code = run(IO_FAILURES[name](tmp_path))
+    argv = IO_FAILURES[name](tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code = run(argv)
     captured = capsys.readouterr()
+    assert sorted(tmp_path.rglob("*")) == before  # a failed command leaves no file behind
     assert code == 3
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 
@@ -174,17 +175,15 @@ def test_audit_clean_and_forged(ctx_cache):
     assert report.ok
 
     forged = copy.deepcopy(trace)
-    forged.rounds[0].touches.append((0, 0, 0))
+    forged.rounds[0] = forged.rounds[0]._replace(touches=forged.rounds[0].touches + ((0, 0, 0),))
     report = audit_trace(forged, config, schedule, assignment)
     assert not report.ok
     assert report.round_width_errors[0]["iteration"] == forged.rounds[0].iteration
     assert report.round_width_errors[0]["round"] == forged.rounds[0].round
 
     tampered = copy.deepcopy(trace)
-    for rec in tampered.bus:
-        if rec.mode == BUTTERFLY:
-            rec.twiddle_index = rec.twiddle_index + 1
-            break
+    k = next(i for i, rec in enumerate(tampered.bus) if rec.mode == BUTTERFLY)
+    tampered.bus[k] = tampered.bus[k]._replace(twiddle_index=tampered.bus[k].twiddle_index + 1)
     report = audit_trace(tampered, config, schedule, assignment)
     assert not report.ok
     assert report.twiddle_mismatches
@@ -257,6 +256,10 @@ def test_engine_config_validation():
         EngineConfig(16, 8, 1)
     with pytest.raises(BadConfig):
         EngineConfig(16, 8, 2, freq_mhz=0)
+    for rate in ("freq_mhz", "hbm_gbps"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(BadConfig):
+                EngineConfig(16, 8, 2, **{rate: value})
     cfg = EngineConfig(1 << 16, 256, 16)
     assert cfg.s == 16
     assert cfg.s_part == 8
