@@ -9,20 +9,21 @@ Subcommands:
   analyze    roofline / throughput / bandwidth reports
 
 Exit codes: 0 success, 1 verification failure, 2 bad configuration or
-arguments, 3 I/O error.  Failures emit one JSON object on stderr.
+arguments (or memory exhausted), 3 I/O error.  Failures emit one JSON object on stderr.
 """
 
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
-import operator
 import os
 import sys
 
+import numpy as np
+
 from .dataflow import (
+    DIRECTIONS,
     EngineConfig,
     audit_trace,
     classify_stages,
@@ -30,7 +31,6 @@ from .dataflow import (
     run_transform,
 )
 from .fragmentation import (
-    READ,
     BadConfig,
     access_schedule,
     map_layout,
@@ -185,50 +185,69 @@ def cmd_transform(args):
     merged["n"] = poly.ctx.n
     config = _engine_config(merged)
     result, trace = run_transform(poly, config, poly.ctx, trace=bool(args.trace))
-    fresh = [path for path in (args.output, args.trace) if path and not os.path.exists(path)]
+    writes = [(args.output, lambda path: write_polynomial(path, result))]
+    if args.trace:
+        writes.append((args.trace, lambda path: _write_trace_jsonl(trace, path)))
+    # each file goes to a sibling first, so a failed transform changes no file
+    siblings = []
     try:
-        write_polynomial(args.output, result)
-        if args.trace:
-            _write_trace_jsonl(trace, args.trace)
-    except BaseException:
-        for path in fresh:  # a failed transform leaves no result behind
+        for path, write in writes:
+            head, tail = os.path.split(os.path.realpath(path))  # through a symlink, as open() writes
+            siblings.append(os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
+            write(siblings[-1])
+        for (path, _), sibling in zip(writes, siblings):
+            os.replace(sibling, os.path.realpath(path))
+    finally:
+        for sibling in siblings:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
+                os.remove(sibling)
     return EXIT_OK
 
 
-# One line template per record kind.  Each reproduces what
-# json.JSONEncoder(sort_keys=True) writes for the record's fields, with its
-# pairs as lists and its direction (or "bu") as "kind".
+# Line templates that reproduce what json.JSONEncoder(sort_keys=True) writes
+# for a trace record's fields, with its pairs as lists and its direction (or
+# "bu") as "kind".  A lane's template is filled in per (half, stage) but for
+# its inputs, iteration, outputs and, in arithmetic mode, its twiddle.
 _ROUND_LINE = '{"iteration": %d, "kind": "%s", "round": %d, "touches": [%s]}\n'
 _BU_LINE = (
-    '{"bu": %d, "inputs": [%d, %d], "iteration": %d, "kind": "bu", "lanes": [%d, %d], '
-    '"mode": "%s", "nttu": %d, "outputs": [%d, %d], "round": %d, "stage": %d, '
+    '{"bu": %d, "inputs": [%%d, %%d], "iteration": %%d, "kind": "bu", "lanes": [%d, %d], '
+    '"mode": "%s", "nttu": %d, "outputs": [%%d, %%d], "round": %d, "stage": %d, '
     '"twiddle_index": %s}\n'
 )
 
 
 def _write_trace_jsonl(trace, path):
-    """One JSON line per event, per iteration: reads, lane operations, writes."""
-    groups = {}
-    for rec in trace.rounds:
-        groups.setdefault((rec.iteration, 0 if rec.direction == READ else 2), []).append(rec)
-    for it, recs in itertools.groupby(trace.bus, operator.attrgetter("iteration")):
-        groups.setdefault((it, 1), []).extend(recs)
+    """One JSON line per event, per pass: reads, lane operations stage by stage, writes.
+
+    Written from the trace's arrays one pass at a time: a pass's rounds are
+    formatted once for its reads and its writes, and its lanes of one stage
+    with one template that holds every lane's line.
+    """
+    p = trace.config.p
     with open(path, "w") as fh:
-        for (_, part), recs in sorted(groups.items()):
-            if part == 1:
-                fh.writelines([
-                    _BU_LINE % (b, x1, x2, it, l1, l2, mode, u, y1, y2, r, st,
-                                "null" if wi is None else wi)
-                    for it, r, st, u, b, mode, l1, l2, x1, x2, wi, y1, y2 in recs
-                ])
-            else:
-                fh.writelines([
-                    _ROUND_LINE % (it, kind, r, ", ".join(["[%d, %d, %d]" % t for t in touches]))
-                    for it, r, kind, touches in recs
-                ])
+        for plan, half in zip(trace.plan, trace.halves):
+            count, rounds, width = half.touches.shape[:3]
+            its = np.arange(plan.iteration, plan.iteration + count, dtype=np.uint64)[:, None]
+            stages = []
+            for st in plan.stages:
+                lane1, lane2, x1, x2, tw, y1, y2 = half.lanes(st)
+                twiddle = "null" if tw is None else "%d"
+                template = "".join([_BU_LINE % (j % p, l1, l2, st.mode, j % p >> 1, j // p, st.stage, twiddle)
+                                    for j, (l1, l2) in enumerate(zip(lane1.tolist(), lane2.tolist()))])
+                columns = (x1, x2, np.broadcast_to(its, x1.shape), y1, y2)
+                columns += () if tw is None else (tw.astype(np.uint64),)  # one dtype: values reach 2^62
+                stages.append((template, np.stack(columns, axis=-1)))
+            touches = ", ".join(["[%d, %d, %d]"] * width)
+            for k, issued in enumerate(half.issued.tolist()):
+                it = plan.iteration + k
+                bodies = [touches % tuple(t) for t in half.touches[k].reshape(rounds, -1).tolist()]
+                reads, writes = (
+                    "".join([_ROUND_LINE % (it, direction, r, body) * n for r, (body, n) in enumerate(zip(bodies, ns))])
+                    for direction, ns in zip(DIRECTIONS, issued)
+                )
+                fh.write(reads)
+                fh.writelines([template % tuple(columns[k].ravel().tolist()) for template, columns in stages])
+                fh.write(writes)
 
 
 def cmd_verify(args):
@@ -459,6 +478,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(type(exc).__name__, exc)
         return EXIT_IO
+    except MemoryError as exc:  # exit 1 means only "verification failed"
+        _emit_error(type(exc).__name__, exc)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -24,11 +24,11 @@ The passes of one half touch disjoint elements, so the simulator runs them
 side by side, as the hardware pipelines them.  Each half is gathered from
 the banks through the XOR mapping into one (passes, n_part) uint64 array
 and scattered back after its stages.  Traced or not, every arithmetic
-stage is one modmath.shoup_butterfly over that whole array; a traced run
-also copies the array around each stage and builds its lane records from
-those copies.  Trace records are flat NamedTuples built in bulk, one
-map(BuRecord._make, zip(...)) per pass and stage, so a lane record is a
-single object for the cyclic garbage collector.  The golden model
+stage is one modmath.shoup_butterfly over that whole array.  A traced run
+keeps what the half did as arrays, a HalfTrace: its bank rounds, a copy of
+the half around each stage and the twiddle entries the kernel used.  No
+per-lane object exists unless SimTrace.iter_records is asked for one; the
+JSONL writer and audit_trace read the arrays.  The golden model
 reference.forward_values stays scalar: it is faster than array code at
 the small n where it dominates, and it keeps the equivalence check
 independent of the engine's kernel.
@@ -38,21 +38,21 @@ and is what the test suite enforces across the configuration sweep.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .fragmentation import (
     BUTTERFLY,
+    NO_TWIDDLE,
     READ,
     SWAP,
     WRITE,
     BadConfig,
     ModeSchedule,
+    PlanStage,
     access_schedule,
     map_layout,
     mode_schedule,
@@ -137,11 +137,7 @@ class RoundRecord(NamedTuple):
 
 
 class BuRecord(NamedTuple):
-    """One lane operation, its pairs held as flat fields.
-
-    A trace holds one record per lane, so each record is one tracked
-    object rather than four (the record and three pair tuples).
-    """
+    """One lane operation, its pairs held as flat fields."""
 
     iteration: int
     round: int
@@ -170,113 +166,133 @@ class BuRecord(NamedTuple):
         return self.output1, self.output2
 
 
+DIRECTIONS = (READ, WRITE)  # a round's direction by its code in HalfTrace.issued
+
+
+def unit_slots(lane_columns, p: int):
+    """(passes, lanes) in issue order -> (passes, p/2 units, lanes*2/p).
+
+    Unit u runs lanes 2u and 2u+1 of every round, round by round.
+    """
+    count = len(lane_columns)
+    return lane_columns.reshape(count, -1, p // 2, 2).swapaxes(1, 2).reshape(count, p // 2, -1)
+
+
+def slot_list(row) -> list:
+    """One unit's twiddle slot as a list; a swap slot, filled with NO_TWIDDLE, is empty."""
+    return [] if row[0] == NO_TWIDDLE else row.tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class HalfTrace:
+    """What the engine did in one iteration half, as arrays.
+
+    Row k is pass `iteration + k` of the half's HalfPlan.  touches[k, r]
+    holds the (bank, offset, index) triples of pass k's r-th buffer round in
+    arrival order; its read and its write round move the same elements.
+    issued[k, d, r] counts how often that round was issued in direction
+    DIRECTIONS[d], once each in a run.  values[s] is the half before array
+    stage s and values[-1] the half after the last; twiddles[s] holds the
+    table entry the kernel used for each butterfly block of stage s, and has
+    no columns for a swap stage.
+    """
+
+    touches: np.ndarray  # (passes, rounds, 2p, 3) int64
+    issued: np.ndarray  # (passes, 2, rounds) int64
+    values: tuple  # (passes, n_part) uint64 per stage boundary
+    twiddles: tuple  # (passes, blocks) int64 per stage
+
+    def lanes(self, st: PlanStage) -> tuple:
+        """st's lanes in issue order: lane1, lane2, input1, input2, twiddle, output1, output2.
+
+        lane1 and lane2 are (lanes,): the ranks of a lane's two elements
+        among the 2p elements of its round.  The rest are (passes, lanes);
+        twiddle is None when the stage has no twiddle columns.
+        """
+        p = st.rounds.shape[1]
+        pairs = np.hstack([st.rounds, st.rounds + (self.values[0].shape[1] >> (st.stage + 1))])
+        rank = np.argsort(np.argsort(pairs, axis=1), axis=1)
+        lows, highs = pairs[:, :p].ravel(), pairs[:, p:].ravel()
+        before, after = self.values[st.stage], self.values[st.stage + 1]
+        tw = self.twiddles[st.stage]
+        return (rank[:, :p].ravel(), rank[:, p:].ravel(), before[:, lows], before[:, highs],
+                tw[:, lows >> st.shift] if tw.shape[1] else None, after[:, lows], after[:, highs])
+
+
 @dataclass
 class SimTrace:
+    """One traced run: the passes the engine ran and a HalfTrace per half."""
+
     config: EngineConfig
-    rounds: list = field(default_factory=list)
-    bus: list = field(default_factory=list)
-    rounds_executed: int = 0
-    elements_read: int = 0
-    elements_written: int = 0
+    plan: tuple  # HalfPlan per iteration half
+    halves: tuple  # HalfTrace per iteration half
 
+    @property
+    def rounds_executed(self) -> int:
+        return sum(2 * h.touches.shape[0] * h.touches.shape[1] for h in self.halves)
 
-class _Engine:
-    """Single-owner simulator instance; one transform per run() call."""
+    @property
+    def elements_read(self) -> int:
+        return sum(math.prod(h.touches.shape[:3]) for h in self.halves)
 
-    def __init__(self, config: EngineConfig, ctx, trace: bool):
-        if ctx.n != config.n:
-            raise ContextMismatch(f"context n={ctx.n}, config n={config.n}")
-        self.config = config
-        self.ctx = ctx
-        self.layout = map_layout(config.n, config.n_part, config.p)
-        self.trace = SimTrace(config) if trace else None
+    elements_written = elements_read  # a half writes back every element it read
 
-    # stage execution -----------------------------------------------------
+    def iter_records(self):
+        """The run as RoundRecords and BuRecords, in trace-file order.
 
-    def _run_stages(self, local, half, snapshots=None):
-        """Every arithmetic stage over all passes of a half at once.
-
-        local[k] is pass k's n_part elements.  A stage with stride t splits
-        each row into blocks of 2t; a block's t butterflies pair its two
-        halves and share one twiddle, the table entry of the block's low end.
-        A traced run passes `snapshots`, which receives a copy of the half
-        before each stage and after the last one.
+        Per pass: its read rounds, its lanes stage by stage, its write
+        rounds.  This is for inspection and tests; the JSONL writer and
+        the audit read the arrays.
         """
-        ctx = self.ctx
-        count, n_part = local.shape
-        scratch = np.empty((5, count * n_part // 2), np.uint64)
-        for st in half.stages:
-            if snapshots is not None:
-                snapshots.append(local.copy())
-            if st.mode != BUTTERFLY:
-                continue  # swap mode forwards its pairs untouched
+        p = self.config.p
+        for plan, half in zip(self.plan, self.halves):
+            stages = []
+            for st in plan.stages:
+                *columns, tw, y1, y2 = half.lanes(st)
+                tw = [[None] * y1.shape[1]] * len(y1) if tw is None else tw.tolist()
+                stages.append((st, *(c.tolist() for c in (*columns, y1, y2)), tw))
+            for k, (touches, issued) in enumerate(zip(half.touches.tolist(), half.issued.tolist())):
+                it = plan.iteration + k
+                rounds = [tuple(map(tuple, t)) for t in touches]
+                reads, writes = (
+                    [RoundRecord(it, r, direction, t) for r, t in enumerate(rounds) for _ in range(count[r])]
+                    for direction, count in zip(DIRECTIONS, issued)
+                )
+                yield from reads
+                for st, lane1, lane2, x1, x2, y1, y2, tw in stages:
+                    for j, (l1, l2) in enumerate(zip(lane1, lane2)):
+                        yield BuRecord(it, j // p, st.stage, j % p >> 1, j % p, st.mode, l1, l2,
+                                       x1[k][j], x2[k][j], tw[k][j], y1[k][j], y2[k][j])
+                yield from writes
+
+
+def _run_stages(ctx, local, half, values=None, twiddles=None):
+    """Every arithmetic stage over all passes of a half at once.
+
+    local[k] is pass k's n_part elements.  A stage with stride t splits
+    each row into blocks of 2t; a block's t butterflies pair its two
+    halves and share one twiddle, the table entry of the block's low end.
+    A traced run passes two lists: `values` receives a copy of the half
+    before each stage and after the last one, `twiddles` each stage's
+    (passes, blocks) table entries, with no columns for a swap stage.
+    """
+    count, n_part = local.shape
+    scratch = np.empty((5, count * n_part // 2), np.uint64)
+    for st in half.stages:
+        if values is not None:
+            values.append(local.copy())
+        wi = np.empty((count, 0), np.int64)  # a swap stage forwards its pairs untouched
+        if st.mode == BUTTERFLY:
             span = n_part >> st.stage
             blocks = local.reshape(count, n_part // span, 2, span // 2)
             wi = half.twiddle_index(st, np.arange(0, n_part, span))
             x, y = blocks[:, :, 0], blocks[:, :, 1]
             w, ws = ctx.fwd_values[wi, None], ctx.fwd_shoups[wi, None]
             shoup_butterfly(x, y, w, ws, ctx.q, scratch.reshape((5,) + y.shape))
-        if snapshots is not None:
-            snapshots.append(local.copy())
-
-    def _record_half(self, half, where, snapshots):
-        """Append the half's records, pass by pass: reads, lanes, writes.
-
-        The rounds come from the bank and offset arrays the gather used,
-        the lane records from the snapshots around each stage.  A lane's
-        position is its rank among the 2p elements of its round.  A pass's
-        lane records of one stage are zipped from per-lane columns, with
-        itertools.repeat for the fields that stay constant.
-        """
-        tr = self.trace
-        p = self.config.p
-        count, n_part = half.indices.shape
-        touches = round_touches(*where, half.indices, half.arrival, 2 * p)
-        per_round = n_part // (2 * p)
-        rounds = [r for r in range(per_round) for _ in range(p)]
-        bus = list(range(p)) * per_round
-        nttus = [b >> 1 for b in bus]
-        stages = []
-        for st, before, after in zip(half.stages, snapshots, snapshots[1:]):
-            lows = st.rounds
-            highs = lows + (n_part >> (st.stage + 1))
-            rank = np.argsort(np.argsort(np.hstack([lows, highs]), axis=1), axis=1)
-            lanes = rank[:, :p].ravel().tolist(), rank[:, p:].ravel().tolist()
-            lows, highs = lows.ravel(), highs.ravel()
-            twiddles = (half.twiddle_index(st, lows).tolist() if st.mode == BUTTERFLY
-                        else [[None] * len(lows)] * count)
-            values = [a[:, j].tolist() for a in (before, after) for j in (lows, highs)]
-            stages.append((st, lanes, twiddles, values))
-        for k, pass_rounds in enumerate(touches):
-            it = half.iteration + k
-            pass_rounds = list(map(tuple, pass_rounds))
-            tr.rounds.extend(RoundRecord(it, r, READ, t) for r, t in enumerate(pass_rounds))
-            for st, (lane1, lane2), twiddles, (x1, x2, y1, y2) in stages:
-                tr.bus.extend(map(BuRecord._make, zip(
-                    repeat(it), rounds, repeat(st.stage), nttus, bus, repeat(st.mode),
-                    lane1, lane2, x1[k], x2[k], twiddles[k], y1[k], y2[k],
-                )))
-            tr.rounds.extend(RoundRecord(it, r, WRITE, t) for r, t in enumerate(pass_rounds))
-        tr.rounds_executed += 2 * sum(map(len, touches))
-        tr.elements_read += count * n_part
-        tr.elements_written += count * n_part
-
-    def run(self, coeffs):
-        cfg = self.config
-        lay = self.layout
-        banks = np.array(coeffs, np.uint64)[lay.arrangement]  # sequential burst into the banks
-        for half in pass_plan(cfg.n, cfg.n_part, cfg.p):
-            # the passes of a half touch disjoint elements: one (passes, n_part) array
-            where = lay.bank_of(half.indices), lay.offset_of(half.indices)
-            local = banks[where]
-            snapshots = None if self.trace is None else []
-            self._run_stages(local, half, snapshots)
-            if snapshots is not None:
-                self._record_half(half, where, snapshots)
-            banks[where] = local
-        out = np.empty(cfg.n, np.uint64)
-        out[lay.arrangement] = banks
-        return out.tolist()
+        if twiddles is not None:
+            twiddles.append(wi)
+    if values is not None:
+        values.append(local.copy())
 
 
 def run_transform(poly: Polynomial, config: EngineConfig, ctx, trace: bool = False):
@@ -289,9 +305,24 @@ def run_transform(poly: Polynomial, config: EngineConfig, ctx, trace: bool = Fal
         raise ContextMismatch(
             f"poly (n={poly.ctx.n}, q={poly.ctx.q}) vs config n={config.n}, ctx q={ctx.q}"
         )
-    engine = _Engine(config, ctx, trace)
-    out = engine.run(poly.coeffs)
-    return Polynomial(out, ctx), engine.trace
+    lay = map_layout(config.n, config.n_part, config.p)
+    banks = np.array(poly.coeffs, np.uint64)[lay.arrangement]  # sequential burst into the banks
+    plan = pass_plan(config.n, config.n_part, config.p)
+    halves = []
+    for half in plan:
+        # the passes of a half touch disjoint elements: one (passes, n_part) array
+        where = lay.bank_of(half.indices), lay.offset_of(half.indices)
+        local = banks[where]
+        values, twiddles = ([], []) if trace else (None, None)
+        _run_stages(ctx, local, half, values, twiddles)
+        if trace:
+            touches = round_touches(*where, half.indices, half.arrival, 2 * config.p)
+            issued = np.ones((len(local), 2, touches.shape[1]), np.int64)
+            halves.append(HalfTrace(touches, issued, tuple(values), tuple(twiddles)))
+        banks[where] = local
+    out = np.empty(config.n, np.uint64)
+    out[lay.arrangement] = banks
+    return Polynomial(out.tolist(), ctx), SimTrace(config, plan, tuple(halves)) if trace else None
 
 
 @dataclass
@@ -324,20 +355,34 @@ class AuditReport:
         }
 
 
-_ROUND_KEY = ("iteration", "round", "direction")
-
-
 @lru_cache(maxsize=4)
-def _schedule_touches(n: int, n_part: int, p: int) -> tuple:
-    """The access schedule as ({(iteration, round, direction): row}, touches[row]).
+def _schedule_touches(n: int, n_part: int, p: int) -> np.ndarray:
+    """The access schedule as one int64 array, (iterations, 2, rounds, 2p, 3).
 
-    It depends on the geometry alone, so repeated audits share one copy,
-    kept as one int64 array of (bank, offset, index) triples.
+    Entry [i, d, r] holds the (bank, offset, index) triples of iteration
+    i's r-th round in direction DIRECTIONS[d], sorted by index; a round the
+    schedule does not name holds -1s.  It depends on the geometry alone, so
+    repeated audits share one copy.
     """
     config = EngineConfig(n, n_part, p)
     rounds = access_schedule(map_layout(n, n_part, p), config, mode_schedule(n, n_part))
-    rows = {(r.iteration, r.round, r.direction): k for k, r in enumerate(rounds)}
-    return rows, np.array([r.touches for r in rounds], np.int64)
+    out = np.full((config.iterations, 2, config.rounds_per_iteration, 2 * p, 3), -1, np.int64)
+    keys = [(r.iteration, DIRECTIONS.index(r.direction), r.round) for r in rounds]
+    out[tuple(np.array(keys).T)] = [r.touches for r in rounds]
+    return _by_index(out)
+
+
+def _by_index(touches):
+    """Each round's (bank, offset, index) triples sorted by index."""
+    order = np.argsort(touches[..., 2], axis=-1)
+    return np.take_along_axis(touches, order[..., None], axis=-2)
+
+
+def _round_keys(iterations, k, d, r) -> list:
+    return [
+        {"iteration": it, "round": rnd, "direction": DIRECTIONS[dd]}
+        for it, dd, rnd in zip(iterations[k].tolist(), d.tolist(), r.tolist())
+    ]
 
 
 def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, assignment) -> AuditReport:
@@ -347,64 +392,50 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
     perform no multiplications and no value changes; (c) per-slot twiddle
     consumption equals the arranged assignment; (d) per-round bank sets
     match the standalone access schedule enumeration, which names every
-    round the trace must hold exactly once.
+    round the trace must hold exactly once.  The checks compare each half's
+    arrays at once: round widths are array shapes, and a round's elements
+    are compared sorted by index.  Rounds of the wrong width are reported
+    under (a) only.
     """
-    width = 2 * config.p
-    width_errors = []
-    for rec in trace.rounds:
-        if len(rec.touches) != width:
-            width_errors.append(
-                {
-                    "iteration": rec.iteration,
-                    "round": rec.round,
-                    "direction": rec.direction,
-                    "touches": len(rec.touches),
-                }
-            )
+    p = config.p
+    expected = _schedule_touches(config.n, config.n_part, p)
+    width_errors, swap_errors, twiddle_mismatches, bank_mismatches, miscounts = [], [], [], [], []
+    for plan, half in zip(pass_plan(config.n, config.n_part, p), trace.halves, strict=True):
+        count, _, width = half.touches.shape[:3]
+        its = np.arange(plan.iteration, plan.iteration + count)
+        if width != 2 * p:
+            width_errors += [{**key, "touches": width} for key in _round_keys(its, *half.issued.nonzero())]
+        else:
+            same = (_by_index(half.touches)[:, None] == expected[its]).all(axis=(-2, -1))
+            bank_mismatches += _round_keys(its, *np.nonzero(~same))
+        wrong = np.nonzero(half.issued != 1)
+        miscounts += [{**key, "recorded": n} for key, n in
+                      zip(_round_keys(its, *wrong), half.issued[wrong].tolist())]
+
+        assigned = assignment.indices[its]  # (passes, s_part, units, slot length)
+        consumed = np.full_like(assigned, NO_TWIDDLE)
+        changed = np.zeros((count, len(plan.stages), config.n_part // 2), bool)  # swap lanes only
+        for st in plan.stages:
+            _, _, x1, x2, tw, y1, y2 = half.lanes(st)
+            if st.mode == SWAP:
+                changed[:, st.stage] = (x1 != y1) | (x2 != y2) | (tw is not None)
+            elif tw is not None:
+                consumed[:, st.stage] = unit_slots(tw, p)
+        k, s, j = np.nonzero(changed)
+        swap_errors += [{"iteration": it, "stage": st, "bu": bu}
+                        for it, st, bu in zip(its[k].tolist(), s.tolist(), (j % p).tolist())]
+        for k, s, u in zip(*np.nonzero((consumed != assigned).any(axis=-1))):
+            twiddle_mismatches.append({"slot": (int(its[k]), int(s), int(u)),
+                                       "assigned": slot_list(assigned[k, s, u]),
+                                       "consumed": slot_list(consumed[k, s, u])})
+
     expected_rounds = schedule.iterations * config.rounds_per_iteration * 2
     if trace.rounds_executed != expected_rounds:
-        width_errors.append(
-            {"rounds_executed": trace.rounds_executed, "expected": expected_rounds}
-        )
-
-    swap_errors = []
-    consumed = {}
-    for rec in trace.bus:
-        if rec.mode == SWAP:
-            if rec.twiddle_index is not None or rec.outputs != rec.inputs:
-                swap_errors.append(
-                    {"iteration": rec.iteration, "stage": rec.stage, "bu": rec.bu}
-                )
-        else:
-            consumed.setdefault((rec.iteration, rec.stage, rec.nttu), []).append(
-                rec.twiddle_index
-            )
-
-    twiddle_mismatches = []
-    for slot, assigned in assignment.grid.items():
-        got = consumed.pop(slot, [])
-        if got != list(assigned):
-            twiddle_mismatches.append({"slot": slot, "assigned": list(assigned), "consumed": got})
-    for slot, got in consumed.items():
-        twiddle_mismatches.append({"slot": slot, "assigned": None, "consumed": got})
-
-    rows, touches = _schedule_touches(config.n, config.n_part, config.p)
-    bank_mismatches = []
-    recorded = Counter()
-    for rec in trace.rounds:
-        key = (rec.iteration, rec.round, rec.direction)
-        recorded[key] += 1
-        row = rows.get(key)
-        if row is None or frozenset(rec.touches) != frozenset(map(tuple, touches[row].tolist())):
-            bank_mismatches.append(dict(zip(_ROUND_KEY, key)))
-    for key in rows:  # each scheduled round exactly once
-        if recorded[key] != 1:
-            bank_mismatches.append({**dict(zip(_ROUND_KEY, key)), "recorded": recorded[key]})
-
+        width_errors.append({"rounds_executed": trace.rounds_executed, "expected": expected_rounds})
     return AuditReport(
         rounds_seen=trace.rounds_executed,
         round_width_errors=width_errors,
         swap_arith_errors=swap_errors,
         twiddle_mismatches=twiddle_mismatches,
-        bank_pattern_mismatches=bank_mismatches,
+        bank_pattern_mismatches=bank_mismatches + miscounts,
     )

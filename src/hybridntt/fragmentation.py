@@ -29,6 +29,7 @@ READ = "read"
 WRITE = "write"
 BUTTERFLY = "butterfly"
 SWAP = "swap"
+NO_TWIDDLE = -1  # fills a twiddle slot of a swap stage, which consumes no table entry
 
 
 class BadConfig(ValueError):
@@ -171,14 +172,13 @@ def pass_plan(n: int, n_part: int, p: int) -> tuple:
     return first, HalfPlan(m, i.reshape(m, n_part), u, wbase, stages(swap_stages))
 
 
-def round_touches(bank, offset, indices, arrival, width: int) -> list:
-    """Per pass, the (bank, offset, index) triples of each width-wide round.
+def round_touches(bank, offset, indices, arrival, width: int):
+    """(passes, rounds, width, 3): the (bank, offset, index) triples of each round.
 
     bank, offset and indices are (passes, n_part) in local-position order;
     rounds take the elements in arrival order.
     """
-    cols = [a[:, arrival].reshape(len(a), -1, width).tolist() for a in (bank, offset, indices)]
-    return [[list(zip(*rnd)) for rnd in zip(*rows)] for rows in zip(*cols)]
+    return np.stack((bank, offset, indices), axis=-1)[:, arrival].reshape(len(indices), -1, width, 3)
 
 
 @dataclass
@@ -243,10 +243,12 @@ def access_schedule(layout: BankLayout, config, schedule) -> list:
     for half in pass_plan(layout.n, layout.n_part, layout.p):
         idx = half.indices
         where = layout.bank_of(idx), layout.offset_of(idx)
-        for k, per_round in enumerate(round_touches(*where, idx, half.arrival, 2 * layout.p)):
+        columns = [c.tolist() for c in np.moveaxis(round_touches(*where, idx, half.arrival, 2 * layout.p), -1, 0)]
+        for k, rows in enumerate(zip(*columns)):
+            per_round = [list(zip(*rnd)) for rnd in zip(*rows)]
             for direction in (READ, WRITE):
-                for r, touches in enumerate(per_round):
-                    rounds.append(AccessRound(half.iteration + k, r, direction, list(touches)))
+                for r, rnd in enumerate(per_round):
+                    rounds.append(AccessRound(half.iteration + k, r, direction, list(rnd)))
         total_iterations += len(idx)
     if total_iterations != schedule.iterations:
         raise BadConfig(

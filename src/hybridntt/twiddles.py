@@ -2,7 +2,8 @@
 
 Every (iteration, stage, unit) slot of the engine receives its own private
 list of twiddle table indices, ordered exactly as its two butterfly lanes
-consume them round by round.  Swap-mode slots carry empty lists.  Because
+consume them round by round; all slots form one array, in which swap-mode
+slots hold NO_TWIDDLE and read as empty lists.  Because
 each unit reads only its own copy, no two units contend for a table port;
 the price is replication, which replication_report quantifies.
 
@@ -15,20 +16,30 @@ The indices are read off fragmentation.pass_plan, the plan the engine runs.
 
 from dataclasses import dataclass
 
-from .dataflow import EngineConfig, ModeSchedule
-from .fragmentation import BUTTERFLY, BadConfig, pass_plan
+import numpy as np
+
+from .dataflow import EngineConfig, ModeSchedule, slot_list, unit_slots
+from .fragmentation import BUTTERFLY, NO_TWIDDLE, BadConfig, pass_plan
 from .modmath import ModulusContext
 
 
 @dataclass
 class TwiddleAssignment:
-    """grid[(iteration, stage, unit)] -> table indices in consumption order."""
+    """indices[iteration, stage, unit] -> table indices in consumption order.
+
+    A swap-mode slot consumes nothing; its row holds NO_TWIDDLE.
+    """
 
     config: EngineConfig
-    grid: dict
+    indices: np.ndarray  # (iterations, s_part, p/2, n_part/p) int64
 
     def slot(self, iteration: int, stage: int, unit: int) -> list:
-        return self.grid[(iteration, stage, unit)]
+        return slot_list(self.indices[iteration, stage, unit])
+
+    @property
+    def grid(self) -> dict:
+        """{(iteration, stage, unit): slot list}, keys in pass-major order."""
+        return {key: self.slot(*key) for key in np.ndindex(self.indices.shape[:3])}
 
 
 @dataclass
@@ -49,35 +60,24 @@ def arrange_twiddles(
     if schedule.iterations != config.iterations:
         raise BadConfig("schedule does not match config")
 
-    units = config.p // 2
-    grid: dict = {}
+    shape = (config.iterations, config.s_part, config.p // 2, config.n_part // config.p)
+    indices = np.full(shape, NO_TWIDDLE, np.int64)
     for half in pass_plan(config.n, config.n_part, config.p):
-        count = len(half.indices)
+        passes = slice(half.iteration, half.iteration + len(half.indices))
         for st in half.stages:
             if st.mode == BUTTERFLY:
-                # unit u runs lanes 2u and 2u+1 of every round, round by round
-                wi = half.twiddle_index(st, st.rounds.ravel()).reshape(count, -1, units, 2)
-                per_pass = wi.swapaxes(1, 2).reshape(count, units, -1).tolist()
-            else:
-                per_pass = [[[] for _ in range(units)] for _ in range(count)]
-            for it, per_unit in enumerate(per_pass, half.iteration):
-                for u, idxs in enumerate(per_unit):
-                    grid[(it, st.stage, u)] = idxs
-    return TwiddleAssignment(config, dict(sorted(grid.items())))  # keys in pass-major order
+                indices[passes, st.stage] = unit_slots(half.twiddle_index(st, st.rounds.ravel()), config.p)
+    return TwiddleAssignment(config, indices)
 
 
 def distinct_engine_factors(assignment: TwiddleAssignment) -> set:
     """Union of table indices one n_part-point array pass consumes.
 
     Taken over the first-half slots, whose working set is the same in every
-    pass; expected cardinality is n_part - 1.
+    pass and holds no swap slot; expected cardinality is n_part - 1.
     """
     m = assignment.config.n // assignment.config.n_part  # first-half passes
-    out: set = set()
-    for (it, _s, _u), idxs in assignment.grid.items():
-        if it < m:
-            out.update(idxs)
-    return out
+    return set(np.unique(assignment.indices[:m]).tolist())
 
 
 def replication_report(assignment: TwiddleAssignment) -> ReplicationStats:

@@ -6,6 +6,7 @@ any assertion failure marks the corresponding criterion red.
 
 import time
 
+from hybridntt.cli import _write_trace_jsonl
 from hybridntt.dataflow import (
     EngineConfig,
     audit_trace,
@@ -200,3 +201,23 @@ def test_acceptance_simulation_speed():
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"2^16 transform took {elapsed:.2f}s, budget 5s"
     _verdict("simulation-speed", started)
+
+
+def test_acceptance_traced_speed(tmp_path):
+    """A traced 2^16-point transform and its JSONL trace complete in under 5 seconds."""
+    n = 1 << 16
+    q = find_ntt_prime(n, WORD_PRIME_FLOOR)
+    ctx = build_context(q, n)
+    config = EngineConfig(n, 256, 16)
+    stream = splitmix64(6)
+    poly = Polynomial([next(stream) % q for _ in range(n)], ctx)
+    path = tmp_path / "trace.jsonl"
+    started = time.perf_counter()
+    try:
+        _, trace = run_transform(poly, config, ctx, trace=True)
+        _write_trace_jsonl(trace, str(path))
+        elapsed = time.perf_counter() - started
+    finally:
+        path.unlink(missing_ok=True)  # about 132 MB
+    assert elapsed < 5.0, f"traced 2^16 transform and trace took {elapsed:.2f}s, budget 5s"
+    _verdict("traced-speed", started)

@@ -144,6 +144,19 @@ def test_transform_roundtrip(tmp_path):
     assert sum(1 for r in records if r["kind"] == "read") == 8
     swap_records = [r for r in records if r["kind"] == "bu" and r["mode"] == "swap"]
     assert swap_records and all(r["twiddle_index"] is None for r in swap_records)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.hply", "out.hply", "trace.jsonl"]
+
+
+def test_transform_writes_through_a_symlinked_output(tmp_path):
+    ctx = build_context(97, 16)
+    poly = random_polynomial(ctx, 124)
+    write_polynomial(str(tmp_path / "in.hply"), poly)
+    (tmp_path / "target.hply").write_bytes(b"old")
+    (tmp_path / "out.hply").symlink_to("target.hply")
+    code = run(["transform", str(tmp_path / "in.hply"), str(tmp_path / "out.hply"), "--npart", "8", "--p", "2"])
+    assert code == 0
+    assert (tmp_path / "out.hply").is_symlink()
+    assert read_polynomial(str(tmp_path / "target.hply"), ctx).coeffs == forward_values(poly.coeffs, ctx)
 
 
 def _record_fields(rec):
@@ -165,7 +178,7 @@ def test_trace_lines_match_json_encoder(tmp_path, ctx_cache):
         _, trace = run_transform(random_polynomial(ctx, 5), EngineConfig(n, n_part, p), ctx, trace=True)
         path = tmp_path / f"trace{n}.jsonl"
         cli._write_trace_jsonl(trace, str(path))
-        fields = sorted(map(_record_fields, trace.rounds + trace.bus),
+        fields = sorted(map(_record_fields, trace.iter_records()),
                         key=lambda f: (f["iteration"], part[f["kind"]]))
         assert path.read_text().splitlines() == [json.dumps(f, sort_keys=True) for f in fields]
         seen |= {f["kind"] for f in fields}
@@ -387,3 +400,38 @@ def test_io_failure_exits_3_with_one_json_error(name, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("name", ["transform--trace", "transform--output"])
+def test_failed_transform_leaves_existing_files_unchanged(name, tmp_path, capsys):
+    argv = IO_FAILURES[name](tmp_path)
+    for existing in ("out.hply", "t.jsonl"):
+        (tmp_path / existing).write_bytes(b"existing " + existing.encode())
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    code = run(argv)
+    capsys.readouterr()
+    assert code == 3
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def _out_of_memory(*args):
+    raise MemoryError("cannot allocate")
+
+
+# a command by the function, called before it prints anything, that runs out of memory
+OUT_OF_MEMORY = {
+    "build_context": ["verify", *GEOMETRY, "--runs", "1"],
+    "map_layout": ["map", *GEOMETRY[:6]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_MEMORY))
+def test_memory_error_exits_2_with_one_json_error(name, monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, _out_of_memory)
+    code = run(OUT_OF_MEMORY[name])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "MemoryError", "message": "cannot allocate"}

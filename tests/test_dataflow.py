@@ -1,13 +1,17 @@
-import copy
+import dataclasses
+import gc
 import math
 
+import numpy as np
 import pytest
 
 from hybridntt import dataflow
 from hybridntt.dataflow import (
     BUTTERFLY,
     SWAP,
+    BuRecord,
     EngineConfig,
+    RoundRecord,
     audit_trace,
     butterfly,
     classify_stages,
@@ -16,8 +20,11 @@ from hybridntt.dataflow import (
 )
 from hybridntt.fragmentation import BadConfig, access_schedule
 from hybridntt.modmath import precompute_shoup
+from hybridntt.perfmodel import butterflies_per_transform, cycle_estimate
 from hybridntt.reference import ContextMismatch, Polynomial, forward_values, random_polynomial
 from hybridntt.twiddles import arrange_twiddles
+
+from conftest import sweep_configs
 
 
 def test_mode_schedule_examples():
@@ -117,7 +124,7 @@ def test_trace_counts(ctx_cache):
     poly = random_polynomial(ctx, 0)
     got, trace = run_transform(poly, config, ctx, trace=True)
     assert got.coeffs == forward_values(poly.coeffs, ctx)
-    reads = [r for r in trace.rounds if r.direction == "read"]
+    reads = [r for r in trace.iter_records() if isinstance(r, RoundRecord) and r.direction == "read"]
     assert len(reads) == 64 * 8  # iterations x rounds per iteration
     assert trace.rounds_executed == 2 * 64 * 8
     assert trace.elements_read == 64 * 256
@@ -136,7 +143,7 @@ def test_stream_routing_dependent_vs_independent(ctx_cache):
     p = config.p
     infos = {i.stage: i for i in classify_stages(config)}
     crossed = set()
-    for rec in trace.bus:
+    for rec in (r for r in trace.iter_records() if isinstance(r, BuRecord)):
         l1, l2 = rec.lanes
         if infos[rec.stage].dependent:
             if (l1, l2) != (rec.bu, rec.bu + p):
@@ -152,7 +159,7 @@ def test_swap_records_do_no_arithmetic(ctx_cache):
     config = EngineConfig(16, 8, 2)
     poly = random_polynomial(ctx, 2)
     _, trace = run_transform(poly, config, ctx, trace=True)
-    swap_recs = [r for r in trace.bus if r.mode == SWAP]
+    swap_recs = [r for r in trace.iter_records() if isinstance(r, BuRecord) and r.mode == SWAP]
     ms = mode_schedule(16, 8)
     # second half only, stages below the swap count
     assert swap_recs
@@ -161,6 +168,13 @@ def test_swap_records_do_no_arithmetic(ctx_cache):
         assert rec.stage < ms.second_half.swap_stages
         assert rec.twiddle_index is None
         assert rec.outputs == rec.inputs
+
+
+def _forge(trace, half=0, **fields):
+    """A copy of trace whose given half has the given fields replaced."""
+    halves = list(trace.halves)
+    halves[half] = dataclasses.replace(halves[half], **fields)
+    return dataclasses.replace(trace, halves=tuple(halves))
 
 
 def test_audit_clean_and_forged(ctx_cache):
@@ -174,40 +188,98 @@ def test_audit_clean_and_forged(ctx_cache):
     report = audit_trace(trace, config, schedule, assignment)
     assert report.ok
 
-    forged = copy.deepcopy(trace)
-    forged.rounds[0] = forged.rounds[0]._replace(touches=forged.rounds[0].touches + ((0, 0, 0),))
+    # every round of the first half widened by one (0, 0, 0) triple
+    touches = trace.halves[0].touches
+    forged = _forge(trace, touches=np.concatenate([touches, np.zeros_like(touches[:, :, :1])], axis=2))
+    first = next(forged.iter_records())
     report = audit_trace(forged, config, schedule, assignment)
     assert not report.ok
-    assert report.round_width_errors[0]["iteration"] == forged.rounds[0].iteration
-    assert report.round_width_errors[0]["round"] == forged.rounds[0].round
+    assert report.round_width_errors[0]["iteration"] == first.iteration
+    assert report.round_width_errors[0]["round"] == first.round
+    assert report.round_width_errors == [
+        {"iteration": it, "round": r, "direction": d, "touches": 5}
+        for it in (0, 1) for d in ("read", "write") for r in (0, 1)
+    ]
 
-    tampered = copy.deepcopy(trace)
-    k = next(i for i, rec in enumerate(tampered.bus) if rec.mode == BUTTERFLY)
-    tampered.bus[k] = tampered.bus[k]._replace(twiddle_index=tampered.bus[k].twiddle_index + 1)
+    bumped = trace.halves[0].twiddles[0].copy()
+    bumped[0, 0] += 1
+    tampered = _forge(trace, twiddles=(bumped, *trace.halves[0].twiddles[1:]))
     report = audit_trace(tampered, config, schedule, assignment)
     assert not report.ok
     assert report.twiddle_mismatches
+    assert report.twiddle_mismatches[0]["slot"] == (0, 0, 0)
 
-    def round_at(rounds, key):
-        return next(i for i, r in enumerate(rounds) if (r.iteration, r.round, r.direction) == key)
+    # a value changed between the two swap stages of the second half's first pass
+    values = list(trace.halves[1].values)
+    values[1] = values[1].copy()
+    values[1][0, 0] ^= 1
+    report = audit_trace(_forge(trace, 1, values=tuple(values)), config, schedule, assignment)
+    assert not report.ok
+    assert report.swap_arith_errors == [
+        {"iteration": 2, "stage": 0, "bu": 0},
+        {"iteration": 2, "stage": 1, "bu": 0},
+    ]
 
-    dropped = copy.deepcopy(trace)
-    del dropped.rounds[round_at(dropped.rounds, (0, 1, "read"))]
+    def reissued(counts):
+        """The trace with the first half's read rounds of pass 0 issued counts[r] times."""
+        issued = trace.halves[0].issued.copy()
+        issued[0, 0] = counts
+        return _forge(trace, issued=issued)
+
+    dropped = reissued([1, 0])
     report = audit_trace(dropped, config, schedule, assignment)
     assert not report.ok
     assert report.bank_pattern_mismatches == [
         {"iteration": 0, "round": 1, "direction": "read", "recorded": 0}
     ]
 
-    repeated = copy.deepcopy(trace)
-    first = repeated.rounds[round_at(repeated.rounds, (0, 0, "read"))]
-    repeated.rounds[round_at(repeated.rounds, (0, 1, "read"))] = copy.deepcopy(first)
+    repeated = reissued([2, 0])
     report = audit_trace(repeated, config, schedule, assignment)
     assert not report.ok
     assert report.bank_pattern_mismatches == [
         {"iteration": 0, "round": 0, "direction": "read", "recorded": 2},
         {"iteration": 0, "round": 1, "direction": "read", "recorded": 0},
     ]
+
+
+def test_trace_counts_reconcile_with_perfmodel(ctx_cache):
+    """Counts from a traced run's array shapes equal perfmodel's, over the sweep."""
+    for n, n_part, p in sweep_configs():
+        config = EngineConfig(n, n_part, p)
+        ctx = ctx_cache.get(n)
+        _, trace = run_transform(Polynomial([0] * n, ctx), config, ctx, trace=True)
+        reads, writes = (sum(int(h.issued[:, d].sum()) for h in trace.halves) for d in (0, 1))
+        lanes = {"arithmetic": 0, "swap": 0}
+        for half in trace.halves:
+            for values, twiddles in zip(half.values, half.twiddles):  # one pair per stage
+                lanes["arithmetic" if twiddles.shape[1] else "swap"] += values.size // 2
+        moved = sum(math.prod(h.touches.shape[:3]) for h in trace.halves)
+        m = n // n_part
+        swap_stages = mode_schedule(n, n_part).second_half.swap_stages
+        assert reads == writes == cycle_estimate(config, 0), (n, n_part, p)
+        assert lanes["arithmetic"] == butterflies_per_transform(n), (n, n_part, p)
+        assert lanes["swap"] == m * swap_stages * n_part // 2, (n, n_part, p)
+        # each half moves every element once; a single-pass transform is one half
+        assert moved == trace.elements_read == trace.elements_written == (2 * n if m > 1 else n)
+
+
+def test_traced_run_keeps_arrays_not_per_lane_objects(ctx_cache):
+    n = 1 << 13
+    ctx = ctx_cache.get(n)
+    config = EngineConfig(n, 256, 16)
+    poly = random_polynomial(ctx, 6)
+    run_transform(poly, config, ctx, trace=True)  # warm up
+    gc.collect()
+    before = len(gc.get_objects())
+    _, trace = run_transform(poly, config, ctx, trace=True)
+    gc.collect()
+    rise = len(gc.get_objects()) - before
+    for half in trace.halves:
+        for f in dataclasses.fields(half):
+            value = getattr(half, f.name)
+            arrays = value if isinstance(value, tuple) else (value,)
+            assert arrays and all(isinstance(a, np.ndarray) for a in arrays), f.name
+    assert rise < 2000, f"{rise} more tracked objects after a traced run"
 
 
 def test_audit_joint_large(ctx_cache):
