@@ -188,14 +188,20 @@ def cmd_transform(args):
     writes = [(args.output, lambda path: write_polynomial(path, result))]
     if args.trace:
         writes.append((args.trace, lambda path: _write_trace_jsonl(trace, path)))
-    # each file goes to a sibling first, so a failed transform changes no file
+    # A regular file is written to a sibling and renamed over its target once
+    # every file is written, so a failed transform changes none.  A device or
+    # a pipe cannot be renamed over: it is written in place, after the siblings.
+    in_place = [w for w in writes if os.path.exists(w[0]) and not os.path.isfile(w[0])]
+    staged = [w for w in writes if w not in in_place]
     siblings = []
     try:
-        for path, write in writes:
+        for path, write in staged:
             head, tail = os.path.split(os.path.realpath(path))  # through a symlink, as open() writes
             siblings.append(os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
             write(siblings[-1])
-        for (path, _), sibling in zip(writes, siblings):
+        for path, write in in_place:
+            write(path)
+        for (path, _), sibling in zip(staged, siblings):
             os.replace(sibling, os.path.realpath(path))
     finally:
         for sibling in siblings:
@@ -238,13 +244,11 @@ def _write_trace_jsonl(trace, path):
                 columns += () if tw is None else (tw.astype(np.uint64),)  # one dtype: values reach 2^62
                 stages.append((template, np.stack(columns, axis=-1)))
             touches = ", ".join(["[%d, %d, %d]"] * width)
-            for k, issued in enumerate(half.issued.tolist()):
+            for k in range(count):
                 it = plan.iteration + k
                 bodies = [touches % tuple(t) for t in half.touches[k].reshape(rounds, -1).tolist()]
-                reads, writes = (
-                    "".join([_ROUND_LINE % (it, direction, r, body) * n for r, (body, n) in enumerate(zip(bodies, ns))])
-                    for direction, ns in zip(DIRECTIONS, issued)
-                )
+                reads, writes = ("".join([_ROUND_LINE % (it, d, r, body) for r, body in enumerate(bodies)])
+                                 for d in DIRECTIONS)
                 fh.write(reads)
                 fh.writelines([template % tuple(columns[k].ravel().tolist()) for template, columns in stages])
                 fh.write(writes)

@@ -53,7 +53,6 @@ from .fragmentation import (
     BadConfig,
     ModeSchedule,
     PlanStage,
-    access_schedule,
     map_layout,
     mode_schedule,
     pass_plan,
@@ -166,7 +165,7 @@ class BuRecord(NamedTuple):
         return self.output1, self.output2
 
 
-DIRECTIONS = (READ, WRITE)  # a round's direction by its code in HalfTrace.issued
+DIRECTIONS = (READ, WRITE)  # every pass reads its rounds, then writes them back
 
 
 def unit_slots(lane_columns, p: int):
@@ -189,16 +188,14 @@ class HalfTrace:
 
     Row k is pass `iteration + k` of the half's HalfPlan.  touches[k, r]
     holds the (bank, offset, index) triples of pass k's r-th buffer round in
-    arrival order; its read and its write round move the same elements.
-    issued[k, d, r] counts how often that round was issued in direction
-    DIRECTIONS[d], once each in a run.  values[s] is the half before array
+    arrival order; its read and its write round move the same elements, so
+    a round's position is its key.  values[s] is the half before array
     stage s and values[-1] the half after the last; twiddles[s] holds the
     table entry the kernel used for each butterfly block of stage s, and has
     no columns for a swap stage.
     """
 
     touches: np.ndarray  # (passes, rounds, 2p, 3) int64
-    issued: np.ndarray  # (passes, 2, rounds) int64
     values: tuple  # (passes, n_part) uint64 per stage boundary
     twiddles: tuple  # (passes, blocks) int64 per stage
 
@@ -251,13 +248,10 @@ class SimTrace:
                 *columns, tw, y1, y2 = half.lanes(st)
                 tw = [[None] * y1.shape[1]] * len(y1) if tw is None else tw.tolist()
                 stages.append((st, *(c.tolist() for c in (*columns, y1, y2)), tw))
-            for k, (touches, issued) in enumerate(zip(half.touches.tolist(), half.issued.tolist())):
+            for k, touches in enumerate(half.touches.tolist()):
                 it = plan.iteration + k
                 rounds = [tuple(map(tuple, t)) for t in touches]
-                reads, writes = (
-                    [RoundRecord(it, r, direction, t) for r, t in enumerate(rounds) for _ in range(count[r])]
-                    for direction, count in zip(DIRECTIONS, issued)
-                )
+                reads, writes = ([RoundRecord(it, r, d, t) for r, t in enumerate(rounds)] for d in DIRECTIONS)
                 yield from reads
                 for st, lane1, lane2, x1, x2, y1, y2, tw in stages:
                     for j, (l1, l2) in enumerate(zip(lane1, lane2)):
@@ -317,8 +311,7 @@ def run_transform(poly: Polynomial, config: EngineConfig, ctx, trace: bool = Fal
         _run_stages(ctx, local, half, values, twiddles)
         if trace:
             touches = round_touches(*where, half.indices, half.arrival, 2 * config.p)
-            issued = np.ones((len(local), 2, touches.shape[1]), np.int64)
-            halves.append(HalfTrace(touches, issued, tuple(values), tuple(twiddles)))
+            halves.append(HalfTrace(touches, tuple(values), tuple(twiddles)))
         banks[where] = local
     out = np.empty(config.n, np.uint64)
     out[lay.arrangement] = banks
@@ -357,19 +350,17 @@ class AuditReport:
 
 @lru_cache(maxsize=4)
 def _schedule_touches(n: int, n_part: int, p: int) -> np.ndarray:
-    """The access schedule as one int64 array, (iterations, 2, rounds, 2p, 3).
+    """Every scheduled round as one int64 array, (iterations, rounds, 2p, 3).
 
-    Entry [i, d, r] holds the (bank, offset, index) triples of iteration
-    i's r-th round in direction DIRECTIONS[d], sorted by index; a round the
-    schedule does not name holds -1s.  It depends on the geometry alone, so
-    repeated audits share one copy.
+    Entry [i, r] holds the (bank, offset, index) triples of iteration i's
+    r-th round, read and written alike, sorted by index.  It depends on the
+    geometry alone, so repeated audits share one copy.
     """
-    config = EngineConfig(n, n_part, p)
-    rounds = access_schedule(map_layout(n, n_part, p), config, mode_schedule(n, n_part))
-    out = np.full((config.iterations, 2, config.rounds_per_iteration, 2 * p, 3), -1, np.int64)
-    keys = [(r.iteration, DIRECTIONS.index(r.direction), r.round) for r in rounds]
-    out[tuple(np.array(keys).T)] = [r.touches for r in rounds]
-    return _by_index(out)
+    lay = map_layout(n, n_part, p)
+    return _by_index(np.concatenate([
+        round_touches(lay.bank_of(half.indices), lay.offset_of(half.indices), half.indices, half.arrival, 2 * p)
+        for half in pass_plan(n, n_part, p)
+    ]))
 
 
 def _by_index(touches):
@@ -378,7 +369,9 @@ def _by_index(touches):
     return np.take_along_axis(touches, order[..., None], axis=-2)
 
 
-def _round_keys(iterations, k, d, r) -> list:
+def _round_keys(iterations, mask) -> list:
+    """The read and write keys of the (passes, rounds) positions set in mask, pass by pass."""
+    k, d, r = np.nonzero(np.broadcast_to(mask[:, None], (len(mask), 2, mask.shape[1])))
     return [
         {"iteration": it, "round": rnd, "direction": DIRECTIONS[dd]}
         for it, dd, rnd in zip(iterations[k].tolist(), d.tolist(), r.tolist())
@@ -391,36 +384,45 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
     (a) every buffer round moves exactly 2p elements; (b) swap-mode lanes
     perform no multiplications and no value changes; (c) per-slot twiddle
     consumption equals the arranged assignment; (d) per-round bank sets
-    match the standalone access schedule enumeration, which names every
-    round the trace must hold exactly once.  The checks compare each half's
-    arrays at once: round widths are array shapes, and a round's elements
-    are compared sorted by index.  Rounds of the wrong width are reported
-    under (a) only.
+    match the access schedule, which names every round the trace must hold
+    exactly once.  A round's key is its position in its half's arrays:
+    scheduled positions the trace lacks are reported with "recorded": 0,
+    positions the schedule does not name as bank mismatches.  The checks
+    compare each half's arrays at once, a round's elements sorted by index.
+    Rounds of the wrong width are reported under (a) only.
     """
-    p = config.p
+    p, rounds = config.p, config.rounds_per_iteration
     expected = _schedule_touches(config.n, config.n_part, p)
-    width_errors, swap_errors, twiddle_mismatches, bank_mismatches, miscounts = [], [], [], [], []
-    for plan, half in zip(pass_plan(config.n, config.n_part, p), trace.halves, strict=True):
-        count, _, width = half.touches.shape[:3]
-        its = np.arange(plan.iteration, plan.iteration + count)
+    width_errors, swap_errors, twiddle_mismatches, bank_mismatches, missing = [], [], [], [], []
+    for h, plan in enumerate(pass_plan(config.n, config.n_part, p)):
+        planned = len(plan.indices)
+        if h >= len(trace.halves):
+            missing += _round_keys(plan.iteration + np.arange(planned), np.ones((planned, rounds), bool))
+            continue
+        half = trace.halves[h]
+        count, got, width = half.touches.shape[:3]
+        its = plan.iteration + np.arange(max(count, planned))
+        c, r = min(count, planned), min(got, rounds)
+        lacking = np.ones((planned, rounds), bool)
+        lacking[:c, :r] = False
+        missing += _round_keys(its, lacking)
         if width != 2 * p:
-            width_errors += [{**key, "touches": width} for key in _round_keys(its, *half.issued.nonzero())]
+            width_errors += [{**key, "touches": width} for key in _round_keys(its, np.ones((count, got), bool))]
         else:
-            same = (_by_index(half.touches)[:, None] == expected[its]).all(axis=(-2, -1))
-            bank_mismatches += _round_keys(its, *np.nonzero(~same))
-        wrong = np.nonzero(half.issued != 1)
-        miscounts += [{**key, "recorded": n} for key, n in
-                      zip(_round_keys(its, *wrong), half.issued[wrong].tolist())]
+            wrong = np.ones((count, got), bool)  # positions beyond the schedule stay wrong
+            wrong[:c, :r] = (_by_index(half.touches[:c, :r]) != expected[its[:c], :r]).any(axis=(-2, -1))
+            bank_mismatches += _round_keys(its, wrong)
 
+        its = its[:c]
         assigned = assignment.indices[its]  # (passes, s_part, units, slot length)
         consumed = np.full_like(assigned, NO_TWIDDLE)
-        changed = np.zeros((count, len(plan.stages), config.n_part // 2), bool)  # swap lanes only
+        changed = np.zeros((c, len(plan.stages), config.n_part // 2), bool)  # swap lanes only
         for st in plan.stages:
             _, _, x1, x2, tw, y1, y2 = half.lanes(st)
             if st.mode == SWAP:
-                changed[:, st.stage] = (x1 != y1) | (x2 != y2) | (tw is not None)
+                changed[:, st.stage] = ((x1 != y1) | (x2 != y2) | (tw is not None))[:c]
             elif tw is not None:
-                consumed[:, st.stage] = unit_slots(tw, p)
+                consumed[:, st.stage] = unit_slots(tw[:c], p)
         k, s, j = np.nonzero(changed)
         swap_errors += [{"iteration": it, "stage": st, "bu": bu}
                         for it, st, bu in zip(its[k].tolist(), s.tolist(), (j % p).tolist())]
@@ -429,7 +431,7 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
                                        "assigned": slot_list(assigned[k, s, u]),
                                        "consumed": slot_list(consumed[k, s, u])})
 
-    expected_rounds = schedule.iterations * config.rounds_per_iteration * 2
+    expected_rounds = schedule.iterations * rounds * 2
     if trace.rounds_executed != expected_rounds:
         width_errors.append({"rounds_executed": trace.rounds_executed, "expected": expected_rounds})
     return AuditReport(
@@ -437,5 +439,5 @@ def audit_trace(trace: SimTrace, config: EngineConfig, schedule: ModeSchedule, a
         round_width_errors=width_errors,
         swap_arith_errors=swap_errors,
         twiddle_mismatches=twiddle_mismatches,
-        bank_pattern_mismatches=bank_mismatches + miscounts,
+        bank_pattern_mismatches=bank_mismatches + [{**key, "recorded": 0} for key in missing],
     )

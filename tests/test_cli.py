@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -157,6 +159,38 @@ def test_transform_writes_through_a_symlinked_output(tmp_path):
     assert code == 0
     assert (tmp_path / "out.hply").is_symlink()
     assert read_polynomial(str(tmp_path / "target.hply"), ctx).coeffs == forward_values(poly.coeffs, ctx)
+
+
+def _transform_16(tmp_path, output, trace):
+    ctx = build_context(97, 16)
+    poly = random_polynomial(ctx, 125)
+    write_polynomial(str(tmp_path / "in.hply"), poly)
+    code = run(["transform", str(tmp_path / "in.hply"), output, "--npart", "8", "--p", "2", "--trace", trace])
+    return code, forward_values(poly.coeffs, ctx), ctx
+
+
+def test_transform_trace_to_a_device_leaves_the_device(tmp_path):
+    code, expected, ctx = _transform_16(tmp_path, str(tmp_path / "out.hply"), os.devnull)
+    assert code == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert read_polynomial(str(tmp_path / "out.hply"), ctx).coeffs == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.hply", "out.hply"]
+
+
+def test_transform_trace_to_a_fifo_writes_through_it(tmp_path):
+    _transform_16(tmp_path, str(tmp_path / "out.hply"), str(tmp_path / "t.jsonl"))
+    fifo = tmp_path / "t.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the trace at n = 16 fits the pipe's buffer
+    try:
+        code, _, _ = _transform_16(tmp_path, str(tmp_path / "out.hply"), str(fifo))
+        chunks = iter(lambda: os.read(reader, 1 << 16), b"")
+        got = b"".join(chunks)
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == (tmp_path / "t.jsonl").read_bytes()
 
 
 def _record_fields(rec):

@@ -18,7 +18,7 @@ from hybridntt.dataflow import (
     mode_schedule,
     run_transform,
 )
-from hybridntt.fragmentation import BadConfig, access_schedule
+from hybridntt.fragmentation import BadConfig, access_schedule, map_layout
 from hybridntt.modmath import precompute_shoup
 from hybridntt.perfmodel import butterflies_per_transform, cycle_estimate
 from hybridntt.reference import ContextMismatch, Polynomial, forward_values, random_polynomial
@@ -220,25 +220,38 @@ def test_audit_clean_and_forged(ctx_cache):
         {"iteration": 2, "stage": 1, "bu": 0},
     ]
 
-    def reissued(counts):
-        """The trace with the first half's read rounds of pass 0 issued counts[r] times."""
-        issued = trace.halves[0].issued.copy()
-        issued[0, 0] = counts
-        return _forge(trace, issued=issued)
-
-    dropped = reissued([1, 0])
+    # round 1 of the first half dropped: every pass reads and writes one round fewer
+    dropped = _forge(trace, touches=trace.halves[0].touches[:, :1])
     report = audit_trace(dropped, config, schedule, assignment)
     assert not report.ok
     assert report.bank_pattern_mismatches == [
-        {"iteration": 0, "round": 1, "direction": "read", "recorded": 0}
+        {"iteration": it, "round": 1, "direction": d, "recorded": 0} for it in (0, 1) for d in ("read", "write")
     ]
+    assert report.round_width_errors == [{"rounds_executed": 12, "expected": 16}]
 
-    repeated = reissued([2, 0])
-    report = audit_trace(repeated, config, schedule, assignment)
+    # round 0 of pass 0 repeated in the place of round 1
+    touches = trace.halves[0].touches.copy()
+    touches[0, 1] = touches[0, 0]
+    report = audit_trace(_forge(trace, touches=touches), config, schedule, assignment)
     assert not report.ok
     assert report.bank_pattern_mismatches == [
-        {"iteration": 0, "round": 0, "direction": "read", "recorded": 2},
-        {"iteration": 0, "round": 1, "direction": "read", "recorded": 0},
+        {"iteration": 0, "round": 1, "direction": "read"},
+        {"iteration": 0, "round": 1, "direction": "write"},
+    ]
+
+    # round 0 repeated after round 1 in every pass: a third round the schedule does not name
+    report = audit_trace(_forge(trace, touches=trace.halves[0].touches[:, [0, 1, 0]]), config, schedule, assignment)
+    assert not report.ok
+    assert report.bank_pattern_mismatches == [
+        {"iteration": it, "round": 2, "direction": d} for it in (0, 1) for d in ("read", "write")
+    ]
+
+    # the second half missing altogether
+    report = audit_trace(dataclasses.replace(trace, halves=trace.halves[:1]), config, schedule, assignment)
+    assert not report.ok
+    assert report.bank_pattern_mismatches == [
+        {"iteration": it, "round": r, "direction": d, "recorded": 0}
+        for it in (2, 3) for d in ("read", "write") for r in (0, 1)
     ]
 
 
@@ -248,7 +261,7 @@ def test_trace_counts_reconcile_with_perfmodel(ctx_cache):
         config = EngineConfig(n, n_part, p)
         ctx = ctx_cache.get(n)
         _, trace = run_transform(Polynomial([0] * n, ctx), config, ctx, trace=True)
-        reads, writes = (sum(int(h.issued[:, d].sum()) for h in trace.halves) for d in (0, 1))
+        reads = writes = sum(math.prod(h.touches.shape[:2]) for h in trace.halves)  # a read and a write per round
         lanes = {"arithmetic": 0, "swap": 0}
         for half in trace.halves:
             for values, twiddles in zip(half.values, half.twiddles):  # one pair per stage
@@ -294,14 +307,7 @@ def test_audit_joint_large(ctx_cache):
     assert report.ok
 
 
-def test_audit_builds_the_access_schedule_once_per_geometry(ctx_cache, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args[0].n)
-        return access_schedule(*args)
-
-    monkeypatch.setattr(dataflow, "access_schedule", counting)
+def test_audit_builds_the_access_schedule_once_per_geometry(ctx_cache):
     dataflow._schedule_touches.cache_clear()
     ctx = ctx_cache.get(64)
     config = EngineConfig(64, 8, 2)
@@ -310,7 +316,19 @@ def test_audit_builds_the_access_schedule_once_per_geometry(ctx_cache, monkeypat
     for seed in range(3):
         _, trace = run_transform(random_polynomial(ctx, seed), config, ctx, trace=True)
         assert audit_trace(trace, config, schedule, assignment).ok
-    assert calls == [64]
+    info = dataflow._schedule_touches.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_audit_schedule_matches_access_schedule():
+    """The audit's cached rounds are the rounds access_schedule enumerates, read and written alike."""
+    for n, n_part, p in ((16, 8, 2), (64, 8, 2), (256, 32, 4)):
+        config = EngineConfig(n, n_part, p)
+        rounds = access_schedule(map_layout(n, n_part, p), config, mode_schedule(n, n_part))
+        expected = dataflow._schedule_touches(n, n_part, p)
+        assert len(rounds) == 2 * expected.shape[0] * expected.shape[1]
+        for r in rounds:
+            assert sorted(r.touches, key=lambda t: t[2]) == list(map(tuple, expected[r.iteration, r.round].tolist()))
 
 
 def test_context_mismatch(ctx_cache):
